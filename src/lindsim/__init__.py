@@ -1,5 +1,16 @@
 """Randomised product-formula and QDRIFT simulation of Markovian open quantum
-systems, with diamond-norm error certification."""
+systems, with diamond-norm error certification.
+
+BLAS runs on one thread unless the caller sets a thread count: every matrix
+here is small, and extra BLAS threads only add synchronisation.  The default
+is set before numpy loads, so it has no effect if numpy was imported first.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
 
 from .formulas import (
     Direction,

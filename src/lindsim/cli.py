@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: simulate, sweep, validate, table1, gatecount.  Exit codes:
-0 success, 1 a validation/bound check failed, 2 bad input.
+0 success, 1 a validation/bound check failed or the diamond-norm solver did
+not converge, 2 bad input.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .harness import (
 from .lindblad import GeneratorFormatError
 from .linalg import DensityMatrix, devectorize, trace_distance, vectorize
 from .norms import generator_stats
+from .sdp import SdpConvergenceError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -160,6 +162,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
+    except (SdpConvergenceError, np.linalg.LinAlgError) as exc:
+        print(f"error: solver failed: {exc}", file=sys.stderr)
+        return 1
     except (ConfigError, GeneratorFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

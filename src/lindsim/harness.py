@@ -9,7 +9,6 @@ a fresh checkout can certify itself from the command line.
 
 from __future__ import annotations
 
-import concurrent.futures
 import configparser
 import itertools
 import math
@@ -70,8 +69,6 @@ __all__ = [
     "table1_report",
     "validate_all",
 ]
-
-ENV_WORKER_CAP = "LINDBLAD_RAND_THREADS"
 
 CSV_COLUMNS = [
     "method", "n", "epsilon_bound", "epsilon_empirical", "trace_dist",
@@ -254,17 +251,6 @@ def _batch_standard_error(eps_batches) -> float:
     return float(np.std(eps_batches, ddof=1) / math.sqrt(len(eps_batches)))
 
 
-def _worker_cap(n_jobs: int) -> int:
-    env = os.environ.get(ENV_WORKER_CAP)
-    if env:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise ConfigError(f"{ENV_WORKER_CAP} must be an integer, got '{env}'") from None
-        return max(1, min(cap, n_jobs))
-    return max(1, min(4, os.cpu_count() or 1, n_jobs))
-
-
 def run_sweep(spec: ExperimentSpec, write_files: bool = True):
     """Run every method over the grid; returns records and writes the CSV."""
     gen = resolve_model(spec)
@@ -322,12 +308,7 @@ def run_sweep(spec: ExperimentSpec, write_files: bool = True):
         record.wall_time_ms = int(round(1000 * (time.perf_counter() - start)))
         return record
 
-    workers = _worker_cap(len(points))
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(run_point, points))
-    else:
-        records = [run_point(p) for p in points]
+    records = [run_point(p) for p in points]
 
     if write_files:
         os.makedirs(spec.outputs, exist_ok=True)

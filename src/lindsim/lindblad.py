@@ -127,15 +127,8 @@ def choi(superop: np.ndarray, dim: int | None = None) -> np.ndarray:
     d = int(round(np.sqrt(s.shape[0]))) if dim is None else int(dim)
     if s.shape != (d * d, d * d):
         raise ValueError(f"superoperator shape {s.shape} inconsistent with dim {d}")
-    j = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for k in range(d):
-            e = np.zeros((d, d), dtype=complex)
-            e[i, k] = 1.0
-            # vec(E_ik) is the basis vector at column-stacking position k*d+i
-            phi = s[:, k * d + i].reshape(d, d).T
-            j += kron(e, phi)
-    return j
+    # s[b*d + a, k*d + i] = <a|Phi(|i><k|)|b> under column stacking
+    return s.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
 
 
 @dataclass(frozen=True)

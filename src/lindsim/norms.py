@@ -1,19 +1,22 @@
 """Diamond norm of superoperators and the scalar statistics built from it.
 
-The diamond norm of a Hermiticity-preserving map is computed through the
-standard semidefinite program on its Choi matrix J:
+Every map this package measures is Hermiticity-preserving, so the diamond
+norm is computed through Watrous' program for such maps on the Choi matrix J
+("Simpler semidefinite programs for completely bounded norms",
+arXiv:1207.5726):
 
-    minimize    (||Tr_out Z0||_inf + ||Tr_out Z1||_inf) / 2
-    subject to  [[Z0, -J], [-J^dag, Z1]] >= 0,   Z0, Z1 >= 0,
+    minimize    mu
+    subject to  P - Q = J,   mu * I - Tr_out(P + Q) >= 0,   P, Q >= 0,
 
 solved with the in-repo interior-point method (no external solver).  The
-program is encoded in standard form with five PSD blocks: the 2d^2-sided
-block matrix, two d-sided slack blocks for the infinity-norm epigraphs and
-two 1x1 blocks for the epigraph scalars.
+program is encoded in standard form with four PSD blocks: P and Q (d^2-sided),
+the d-sided slack of the epigraph and the 1x1 epigraph scalar mu.  Only the
+right-hand side depends on J, so the constraint stack is built once per d.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +37,7 @@ __all__ = [
 ]
 
 
-def _herm_basis(d: int) -> list:
+def _herm_basis(d: int) -> np.ndarray:
     """Orthonormal (trace inner product) basis of d x d Hermitian matrices."""
     basis = []
     for a in range(d):
@@ -50,58 +53,51 @@ def _herm_basis(d: int) -> list:
             e[a, b] = 1j / np.sqrt(2)
             e[b, a] = -1j / np.sqrt(2)
             basis.append(e)
-    return basis
+    return np.array(basis)
 
 
-def _diamond_problem(j: np.ndarray, d: int) -> SdpProblem:
+@functools.lru_cache(maxsize=None)
+def _hp_constraints(d: int) -> tuple:
+    """Constraint stack of the Hermiticity-preserving program, shared by every J.
+
+    Rows 0..d^4-1 pin P - Q to J, one row per element of a Hermitian basis
+    of the d^2-sided space; rows d^4.. define the slack H = mu I - Tr_out(P+Q)
+    on a Hermitian basis b_r of the d-sided space, <kron(b_r, I), Z> being
+    <b_r, Tr_out Z>.
+    """
     n = d * d
-    big = 2 * n
-    basis = _herm_basis(d)
-    m = 2 * n * n + 2 * d * d
+    big_basis = _herm_basis(n)
+    small_basis = _herm_basis(d)
+    lifted = np.array([kron(b_r, np.eye(d)) for b_r in small_basis])
+    m_eq, m_slack = n * n, d * d
 
-    a_big = np.zeros((m, big, big), dtype=complex)
-    a_h0 = np.zeros((m, d, d), dtype=complex)
-    a_h1 = np.zeros((m, d, d), dtype=complex)
-    a_m0 = np.zeros((m, 1, 1), dtype=complex)
-    a_m1 = np.zeros((m, 1, 1), dtype=complex)
-    rhs = np.zeros(m)
+    a_p = np.concatenate([big_basis, lifted])
+    a_q = np.concatenate([-big_basis, lifted])
+    a_h = np.concatenate([np.zeros((m_eq, d, d), dtype=complex), small_basis])
+    a_mu = np.zeros((m_eq + m_slack, 1, 1), dtype=complex)
+    a_mu[m_eq:, 0, 0] = -np.trace(small_basis, axis1=1, axis2=2)
+    stack = (a_p, a_q, a_h, a_mu)
+    for a in stack:
+        a.setflags(write=False)
+    return stack
 
-    # pin the off-diagonal block of the big matrix to -J
-    i = 0
-    for p in range(n):
-        for q in range(n):
-            a_big[i, p, n + q] = 0.5
-            a_big[i, n + q, p] = 0.5
-            rhs[i] = -j[p, q].real
-            i += 1
-            a_big[i, p, n + q] = 0.5j
-            a_big[i, n + q, p] = -0.5j
-            rhs[i] = -j[p, q].imag
-            i += 1
 
-    # slack definitions H_x = mu_x * I - Tr_out Z_x, projected on a basis
-    eye_d = np.eye(d)
-    for r, b_r in enumerate(basis):
-        lifted = kron(b_r, eye_d)
-        a_big[i, :n, :n] = lifted
-        a_h0[i] = b_r
-        a_m0[i, 0, 0] = -np.trace(b_r)
-        i += 1
-        a_big[i, n:, n:] = lifted
-        a_h1[i] = b_r
-        a_m1[i, 0, 0] = -np.trace(b_r)
-        i += 1
-
+def _diamond_hp_problem(j: np.ndarray, d: int) -> SdpProblem:
+    a_p, a_q, a_h, a_mu = _hp_constraints(d)
+    n = d * d
+    m_eq = n * n
+    rhs = np.zeros(a_p.shape[0])
+    # <E_r, J> for the Hermitian basis E_r, read off the P block's rows
+    rhs[:m_eq] = (a_p[:m_eq].reshape(m_eq, -1).conj() @ j.reshape(-1)).real
     objective = [
-        np.zeros((big, big), dtype=complex),
+        np.zeros((n, n), dtype=complex),
+        np.zeros((n, n), dtype=complex),
         np.zeros((d, d), dtype=complex),
-        np.zeros((d, d), dtype=complex),
-        np.array([[0.5]], dtype=complex),
-        np.array([[0.5]], dtype=complex),
+        np.ones((1, 1), dtype=complex),
     ]
     return SdpProblem(
-        block_sizes=[big, d, d, 1, 1],
-        constraints=[a_big, a_h0, a_h1, a_m0, a_m1],
+        block_sizes=[n, n, d, 1],
+        constraints=[a_p, a_q, a_h, a_mu],
         objective=objective,
         rhs=rhs,
     )
@@ -126,7 +122,7 @@ def diamond_norm_solution(superop: np.ndarray) -> SdpSolution:
     # order of magnitude inside the acceptance threshold
     scale = max(1.0, float(np.linalg.norm(j)))
     gap_tol = min(1e-9, TOL.sdp_gap_tol / (10.0 * scale))
-    problem = _diamond_problem(j / scale, d)
+    problem = _diamond_hp_problem(j / scale, d)
     sol = solve_sdp(problem, gap_tol=gap_tol, feas_tol=1e-9, max_iters=TOL.sdp_max_iters)
     sol.value *= scale
     sol.primal_objective *= scale

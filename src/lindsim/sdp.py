@@ -77,23 +77,32 @@ def _max_step(x: np.ndarray, dx: np.ndarray) -> float:
         y = scipy.linalg.solve_triangular(chol, z.conj().T, lower=True).conj().T
         lam = float(np.min(np.linalg.eigvalsh(_sym(y))))
     except np.linalg.LinAlgError:
-        lam = float(np.min(scipy.linalg.eigh(_sym(dx), _sym(x), eigvals_only=True)))
+        # x is not numerically PD: whiten by its spectrum, clipped away from zero
+        w, v = np.linalg.eigh(_sym(x))
+        floor = np.finfo(float).eps * max(float(np.max(np.abs(w))), np.finfo(float).tiny)
+        r = v / np.sqrt(np.maximum(w, floor))
+        lam = float(np.min(np.linalg.eigvalsh(_sym(r.conj().T @ dx @ r))))
     if lam >= -1e-14:
         return np.inf
     return -1.0 / lam
 
 
 def _chol_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Cholesky solve with a jitter ladder, falling back to least squares."""
+    """Cholesky solve with a jitter ladder, falling back to least squares.
+
+    The ladder starts at the rounding level of ``mat`` and rises tenfold: near
+    the optimum the Schur complement is indefinite only by rounding, and any
+    larger jitter shows up directly in the primal residual.
+    """
     n = mat.shape[0]
     jitter = 0.0
     scale = max(1.0, float(np.max(np.abs(mat))))
-    for _ in range(8):
+    for _ in range(16):
         try:
             cf = scipy.linalg.cho_factor(mat + jitter * np.eye(n), lower=True)
             return scipy.linalg.cho_solve(cf, rhs)
         except np.linalg.LinAlgError:
-            jitter = max(jitter * 100.0, 1e-14 * scale)
+            jitter = max(jitter * 10.0, np.finfo(float).eps * scale)
     return np.linalg.lstsq(mat, rhs, rcond=None)[0]
 
 
@@ -137,85 +146,88 @@ def solve_sdp(
     gap = np.inf
     rp_norm = rd_norm = np.inf
 
-    for iteration in range(1, max_iters + 1):
-        rp = v - apply_a(x)
-        at_y = apply_at(y)
-        rd = [c_blocks[b] - s[b] - at_y[b] for b in range(nblocks)]
-        mu = sum(np.vdot(x[b], s[b]).real for b in range(nblocks)) / n_total
+    try:
+        for iteration in range(1, max_iters + 1):
+            rp = v - apply_a(x)
+            at_y = apply_at(y)
+            rd = [c_blocks[b] - s[b] - at_y[b] for b in range(nblocks)]
+            mu = sum(np.vdot(x[b], s[b]).real for b in range(nblocks)) / n_total
 
-        pobj = sum(np.vdot(c_blocks[b], x[b]).real for b in range(nblocks))
-        dobj = float(v @ y)
-        gap = abs(pobj - dobj)
-        rp_norm = float(np.linalg.norm(rp)) / v_scale
-        rd_norm = float(np.sqrt(sum(np.linalg.norm(r) ** 2 for r in rd))) / c_scale
+            pobj = sum(np.vdot(c_blocks[b], x[b]).real for b in range(nblocks))
+            dobj = float(v @ y)
+            gap = abs(pobj - dobj)
+            rp_norm = float(np.linalg.norm(rp)) / v_scale
+            rd_norm = float(np.sqrt(sum(np.linalg.norm(r) ** 2 for r in rd))) / c_scale
 
-        if gap <= gap_tol and mu * n_total <= gap_tol and rp_norm <= feas_tol and rd_norm <= feas_tol:
-            return SdpSolution(
-                value=0.5 * (pobj + dobj),
-                primal_objective=pobj,
-                dual_objective=dobj,
-                gap=gap,
-                iterations=iteration - 1,
-                primal_blocks=x,
-                dual_y=y,
-                primal_residual=rp_norm,
-                dual_residual=rd_norm,
-            )
+            if gap <= gap_tol and mu * n_total <= gap_tol and rp_norm <= feas_tol and rd_norm <= feas_tol:
+                return SdpSolution(
+                    value=0.5 * (pobj + dobj),
+                    primal_objective=pobj,
+                    dual_objective=dobj,
+                    gap=gap,
+                    iterations=iteration - 1,
+                    primal_blocks=x,
+                    dual_y=y,
+                    primal_residual=rp_norm,
+                    dual_residual=rd_norm,
+                )
 
-        s_inv = []
-        for b in range(nblocks):
-            try:
-                chol = np.linalg.cholesky(s[b])
-                inv_l = scipy.linalg.solve_triangular(chol, np.eye(sizes[b], dtype=complex), lower=True)
-                s_inv.append(_sym(inv_l.conj().T @ inv_l))
-            except np.linalg.LinAlgError:
-                s_inv.append(_sym(np.linalg.pinv(s[b])))
-
-        # Schur complement M_ij = Re tr(A_i X A_j S^{-1}), shared by both passes
-        schur = np.zeros((m, m))
-        for b in range(nblocks):
-            t = np.matmul(np.matmul(x[b][None, :, :], a_stacks[b]), s_inv[b][None, :, :])
-            schur += (a_flat[b].conj() @ t.reshape(m, -1).T).real
-        schur = (schur + schur.T) / 2
-
-        def newton(sigma_mu, corr):
-            g = []
+            s_inv = []
             for b in range(nblocks):
-                gb = -x[b] - x[b] @ rd[b] @ s_inv[b]
-                if sigma_mu > 0.0:
-                    gb = gb + sigma_mu * s_inv[b]
-                if corr is not None:
-                    gb = gb - corr[b] @ s_inv[b]
-                g.append(gb)
-            rhs = rp - apply_a([_sym(gb) for gb in g])
-            dy = _chol_solve(schur, rhs)
-            at_dy = apply_at(dy)
-            ds = [rd[b] - at_dy[b] for b in range(nblocks)]
-            dx = [_sym(g[b] + x[b] @ at_dy[b] @ s_inv[b]) for b in range(nblocks)]
-            return dx, dy, ds
+                try:
+                    chol = np.linalg.cholesky(s[b])
+                    inv_l = scipy.linalg.solve_triangular(chol, np.eye(sizes[b], dtype=complex), lower=True)
+                    s_inv.append(_sym(inv_l.conj().T @ inv_l))
+                except np.linalg.LinAlgError:
+                    s_inv.append(_sym(np.linalg.pinv(s[b])))
 
-        # predictor
-        dx_aff, dy_aff, ds_aff = newton(0.0, None)
-        ap_aff = min(1.0, min(_max_step(x[b], dx_aff[b]) for b in range(nblocks)))
-        ad_aff = min(1.0, min(_max_step(s[b], ds_aff[b]) for b in range(nblocks)))
-        mu_aff = sum(
-            np.vdot(x[b] + ap_aff * dx_aff[b], s[b] + ad_aff * ds_aff[b]).real
-            for b in range(nblocks)
-        ) / n_total
-        sigma = min(1.0, max(1e-12, (max(mu_aff, 0.0) / mu) ** 3))
+            # Schur complement M_ij = Re tr(A_i X A_j S^{-1}), shared by both passes
+            schur = np.zeros((m, m))
+            for b in range(nblocks):
+                t = np.matmul(np.matmul(x[b][None, :, :], a_stacks[b]), s_inv[b][None, :, :])
+                schur += (a_flat[b].conj() @ t.reshape(m, -1).T).real
+            schur = (schur + schur.T) / 2
 
-        # corrector
-        corr = [dx_aff[b] @ ds_aff[b] for b in range(nblocks)]
-        dx, dy, ds = newton(sigma * mu, corr)
+            def newton(sigma_mu, corr):
+                g = []
+                for b in range(nblocks):
+                    gb = -x[b] - x[b] @ rd[b] @ s_inv[b]
+                    if sigma_mu > 0.0:
+                        gb = gb + sigma_mu * s_inv[b]
+                    if corr is not None:
+                        gb = gb - corr[b] @ s_inv[b]
+                    g.append(gb)
+                rhs = rp - apply_a([_sym(gb) for gb in g])
+                dy = _chol_solve(schur, rhs)
+                at_dy = apply_at(dy)
+                ds = [rd[b] - at_dy[b] for b in range(nblocks)]
+                dx = [_sym(g[b] + x[b] @ at_dy[b] @ s_inv[b]) for b in range(nblocks)]
+                return dx, dy, ds
 
-        alpha_p = min(1.0, step_fraction * min(_max_step(x[b], dx[b]) for b in range(nblocks)))
-        alpha_d = min(1.0, step_fraction * min(_max_step(s[b], ds[b]) for b in range(nblocks)))
-        if max(alpha_p, alpha_d) < 1e-12:
-            raise SdpConvergenceError("interior-point step collapsed", gap)
+            # predictor
+            dx_aff, dy_aff, ds_aff = newton(0.0, None)
+            ap_aff = min(1.0, min(_max_step(x[b], dx_aff[b]) for b in range(nblocks)))
+            ad_aff = min(1.0, min(_max_step(s[b], ds_aff[b]) for b in range(nblocks)))
+            mu_aff = sum(
+                np.vdot(x[b] + ap_aff * dx_aff[b], s[b] + ad_aff * ds_aff[b]).real
+                for b in range(nblocks)
+            ) / n_total
+            sigma = min(1.0, max(1e-12, (max(mu_aff, 0.0) / mu) ** 3))
 
-        for b in range(nblocks):
-            x[b] = _sym(x[b] + alpha_p * dx[b])
-            s[b] = _sym(s[b] + alpha_d * ds[b])
-        y = y + alpha_d * dy
+            # corrector
+            corr = [dx_aff[b] @ ds_aff[b] for b in range(nblocks)]
+            dx, dy, ds = newton(sigma * mu, corr)
+
+            alpha_p = min(1.0, step_fraction * min(_max_step(x[b], dx[b]) for b in range(nblocks)))
+            alpha_d = min(1.0, step_fraction * min(_max_step(s[b], ds[b]) for b in range(nblocks)))
+            if max(alpha_p, alpha_d) < 1e-12:
+                raise SdpConvergenceError("interior-point step collapsed", gap)
+
+            for b in range(nblocks):
+                x[b] = _sym(x[b] + alpha_p * dx[b])
+                s[b] = _sym(s[b] + alpha_d * ds[b])
+            y = y + alpha_d * dy
+    except np.linalg.LinAlgError as exc:
+        raise SdpConvergenceError(f"linear algebra failure ({exc})", gap) from exc
 
     raise SdpConvergenceError(f"no convergence within {max_iters} iterations", gap)

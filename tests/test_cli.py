@@ -1,6 +1,8 @@
 import pytest
 
+from lindsim import norms
 from lindsim.cli import main
+from lindsim.sdp import SdpConvergenceError
 
 CONFIG = """
 [experiment]
@@ -93,6 +95,17 @@ def test_simulate_command(config_path, capsys):
 def test_missing_config_is_bad_input(capsys):
     assert main(["sweep", "/nonexistent/exp.ini"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_solver_failure_exits_1(config_path, monkeypatch, capsys):
+    def failing_solve(problem, **kwargs):
+        raise SdpConvergenceError("interior-point step collapsed", 3e-4)
+
+    monkeypatch.setattr(norms, "solve_sdp", failing_solve)
+    assert main(["sweep", config_path]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "step collapsed" in err and "3.000e-04" in err
 
 
 def test_malformed_config_is_bad_input(tmp_path, capsys):

@@ -177,15 +177,6 @@ def test_run_sweep_records_failures_and_continues(tmp_path):
     assert by_method[Method.S1_DET].status == "ok"
 
 
-def test_worker_cap_env(tmp_path, monkeypatch, spec):
-    monkeypatch.setenv("LINDBLAD_RAND_THREADS", "1")
-    records = run_sweep(spec, write_files=False)
-    assert all(r.status == "ok" for r in records)
-    monkeypatch.setenv("LINDBLAD_RAND_THREADS", "zebra")
-    with pytest.raises(ConfigError, match="LINDBLAD_RAND_THREADS"):
-        run_sweep(spec, write_files=False)
-
-
 def test_fit_order_exact_synthetic():
     records = [
         SweepRecord(method=Method.S2_DET, n=n, epsilon_bound=1.0,

@@ -150,6 +150,21 @@ def test_choi_sigma_x_conjugation():
     assert np.allclose(j, 2 * np.outer(psi, psi.conj()), atol=1e-12)
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_choi_matches_loop_reference(d):
+    # the reshape form is bit-identical to summing E_ik (x) Phi(E_ik)
+    rng = np.random.default_rng(d)
+    s = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
+    expected = np.zeros((d * d, d * d), dtype=complex)
+    for i in range(d):
+        for k in range(d):
+            e = np.zeros((d, d), dtype=complex)
+            e[i, k] = 1.0
+            # vec(E_ik) is the basis vector at column-stacking position k*d+i
+            expected += kron(e, s[:, k * d + i].reshape(d, d).T)
+    assert np.array_equal(choi(s), expected)
+
+
 def test_is_cptp_accepts_physical_channels(amp_damp):
     assert is_cptp(np.eye(4))
     assert is_cptp(exact_channel(amp_damp, 1.0))

@@ -1,17 +1,20 @@
 import numpy as np
 import pytest
 
-from lindsim.lindblad import GkslGenerator, exact_channel, full_liouvillian, term_superop
+from lindsim.lindblad import GkslGenerator, choi, exact_channel, full_liouvillian, term_superop
 from lindsim.linalg import kron
 from lindsim.models import builtin_model
 from lindsim.norms import (
     GeneratorStats,
+    _herm_basis,
     diamond_norm,
     diamond_norm_solution,
     generator_stats,
     power_contraction_check,
     sampled_diamond_lower_bound,
 )
+from lindsim.sdp import SdpConvergenceError, SdpProblem, solve_sdp
+from lindsim.tolerances import TOL
 
 SM = np.array([[0, 1], [0, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -170,3 +173,118 @@ def test_stats_validation():
         GeneratorStats(max_scaled_norm=-1.0, max_bare_norm=0.0, total_rate=1.0, term_count=1)
     with pytest.raises(ValueError, match="positive"):
         GeneratorStats(max_scaled_norm=1.0, max_bare_norm=1.0, total_rate=1.0, term_count=0)
+
+
+# ---------------------------------------------------------------------------
+# independent oracles for the Hermiticity-preserving program
+# ---------------------------------------------------------------------------
+
+def _general_diamond_problem(j, d):
+    """The general-form program, kept as an oracle:
+
+        minimize    (||Tr_out Z0||_inf + ||Tr_out Z1||_inf) / 2
+        subject to  [[Z0, -J], [-J^dag, Z1]] >= 0,   Z0, Z1 >= 0,
+
+    with blocks [2d^2, d, d, 1, 1] and 2d^4 + 2d^2 constraints.
+    """
+    n = d * d
+    big = 2 * n
+    basis = _herm_basis(d)
+    m = 2 * n * n + 2 * d * d
+    a_big = np.zeros((m, big, big), dtype=complex)
+    a_h0 = np.zeros((m, d, d), dtype=complex)
+    a_h1 = np.zeros((m, d, d), dtype=complex)
+    a_m0 = np.zeros((m, 1, 1), dtype=complex)
+    a_m1 = np.zeros((m, 1, 1), dtype=complex)
+    rhs = np.zeros(m)
+    i = 0
+    for p in range(n):  # pin the off-diagonal block to -J
+        for q in range(n):
+            a_big[i, p, n + q] = a_big[i, n + q, p] = 0.5
+            rhs[i] = -j[p, q].real
+            a_big[i + 1, p, n + q] = 0.5j
+            a_big[i + 1, n + q, p] = -0.5j
+            rhs[i + 1] = -j[p, q].imag
+            i += 2
+    for b_r in basis:  # slacks H_x = mu_x I - Tr_out Z_x
+        lifted = kron(b_r, np.eye(d))
+        a_big[i, :n, :n] = lifted
+        a_h0[i] = b_r
+        a_m0[i, 0, 0] = -np.trace(b_r)
+        a_big[i + 1, n:, n:] = lifted
+        a_h1[i + 1] = b_r
+        a_m1[i + 1, 0, 0] = -np.trace(b_r)
+        i += 2
+    objective = [np.zeros((big, big)), np.zeros((d, d)), np.zeros((d, d)),
+                 np.array([[0.5]]), np.array([[0.5]])]
+    return SdpProblem(block_sizes=[big, d, d, 1, 1],
+                      constraints=[a_big, a_h0, a_h1, a_m0, a_m1],
+                      objective=objective, rhs=rhs)
+
+
+def _general_diamond_norm(superop):
+    d = int(round(np.sqrt(superop.shape[0])))
+    j = choi(superop, d)
+    scale = max(1.0, float(np.linalg.norm(j)))
+    sol = solve_sdp(_general_diamond_problem(j / scale, d),
+                    gap_tol=min(1e-9, TOL.sdp_gap_tol / (10.0 * scale)),
+                    feas_tol=1e-9, max_iters=TOL.sdp_max_iters)
+    return sol.value * scale
+
+
+def _random_hp_map(d, k, rng):
+    """X -> sum_k c_k A_k X A_k^dag with real c_k of both signs."""
+    s = np.zeros((d * d, d * d), dtype=complex)
+    for _ in range(k):
+        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        s += rng.normal() * kron(a.conj(), a)
+    return s / np.linalg.norm(s)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_commutator_closed_form(d):
+    # ||-i[H, .]||_diamond = lambda_max(H) - lambda_min(H)
+    for seed in range(2):
+        gen = builtin_model("random", dict(d=d, m=1, seed=seed))
+        sol = diamond_norm_solution(term_superop(gen, 1))
+        eigs = np.linalg.eigvalsh(gen.hamiltonian)
+        assert sol.gap <= TOL.sdp_gap_tol
+        assert sol.value == pytest.approx(eigs[-1] - eigs[0], abs=TOL.diamond_abs_tol)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_agrees_with_general_form_program(d):
+    rng = np.random.default_rng(100 + d)
+    gen = builtin_model("random", dict(d=d, m=3, seed=d))
+    maps = [_random_hp_map(d, k, rng) for k in (1, 2, 4)]
+    half = exact_channel(gen, 0.15)
+    maps += [term_superop(gen, 2), exact_channel(gen, 0.3) - half @ half]
+    for s in maps:
+        sol = diamond_norm_solution(s)
+        assert sol.gap <= TOL.sdp_gap_tol
+        assert abs(sol.value - _general_diamond_norm(s)) <= 1e-8
+
+
+def test_qudit_terms_solve_or_raise_typed_error():
+    # random d=4 terms: a certified value or SdpConvergenceError, never a raw LinAlgError
+    for seed in range(4):
+        gen = builtin_model("random", dict(d=4, m=3, seed=seed))
+        for k in (2, 3):
+            for with_rate in (True, False):
+                try:
+                    sol = diamond_norm_solution(term_superop(gen, k, with_rate=with_rate))
+                except SdpConvergenceError as exc:
+                    assert exc.gap >= 0.0
+                    continue
+                assert sol.gap <= TOL.sdp_gap_tol
+                assert sol.value > 0.0
+
+
+def test_qudit_dissipator_converges_in_few_iterations():
+    # near the optimum the Schur complement is indefinite only by rounding; a
+    # jitter far above that level stalls the primal residual, and this solve
+    # then ran into a collapsed step instead of converging
+    gen = builtin_model("random", dict(d=4, m=3, seed=0))
+    sol = diamond_norm_solution(term_superop(gen, 2, with_rate=True))
+    assert sol.gap <= TOL.sdp_gap_tol
+    assert sol.iterations <= 50

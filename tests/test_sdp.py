@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lindsim import sdp
 from lindsim.sdp import SdpConvergenceError, SdpProblem, solve_sdp
 
 
@@ -46,4 +47,21 @@ def test_iteration_cap_raises_with_gap():
     c = np.diag([3.0, -1.0]).astype(complex)
     with pytest.raises(SdpConvergenceError) as err:
         solve_sdp(_min_eigenvalue_problem(c), max_iters=2)
+    assert err.value.gap >= 0.0
+
+
+def test_max_step_on_singular_matrix():
+    # x is PSD but singular, so Cholesky fails and the clipped spectrum is used
+    x = np.diag([1.0, 0.0]).astype(complex)
+    assert sdp._max_step(x, np.diag([-0.5, 1.0]).astype(complex)) == pytest.approx(2.0)
+    assert sdp._max_step(x, np.diag([1.0, 1.0]).astype(complex)) == np.inf
+
+
+def test_linear_algebra_failure_becomes_convergence_error(monkeypatch):
+    def broken(mat, rhs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(sdp, "_chol_solve", broken)
+    with pytest.raises(SdpConvergenceError, match="SVD did not converge") as err:
+        solve_sdp(_min_eigenvalue_problem(np.diag([3.0, -1.0]).astype(complex)))
     assert err.value.gap >= 0.0
