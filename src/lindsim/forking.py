@@ -8,20 +8,22 @@ routing is undone and the control and work registers are measured and
 discarded (equivalently: partially traced out).
 
 Registers are ordered [control, slot 1, slot 2, ...]; slot 1 carries the
-system state.  Everything here works on composite density matrices of total
-dimension at most the configured cap, with channels represented as
-superoperators on the composite space.
+system state.  A block runs on the composite density matrix itself, of total
+dimension at most the configured cap: each controlled-SWAP is an index
+permutation of the state, and each branch channel is the bare system's
+d^2 x d^2 superoperator contracted into its register.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .formulas import Direction, qdrift_probs, s1_dir
 from .lindblad import GkslGenerator, constituent_channel
-from .linalg import DensityMatrix, devectorize, kron, partial_trace, vectorize
+from .linalg import DensityMatrix, kron, partial_trace
 from .tolerances import TOL
 
 __all__ = [
@@ -60,7 +62,13 @@ class ForkLayout:
         return self.control_dim * self.system_dim ** (1 + self.n_ancillas)
 
 
-def _cswap_unitary(layout: ForkLayout, control_value: int, target_a: int, target_b: int) -> np.ndarray:
+@functools.lru_cache(maxsize=None)
+def _cswap_perm(layout: ForkLayout, control_value: int, target_a: int, target_b: int) -> np.ndarray:
+    """Basis permutation of the controlled-SWAP: it maps |i> to |perm[i]>.
+
+    The permutation is an involution, so conjugating a state by the
+    controlled-SWAP is ``rho[np.ix_(perm, perm)]``.
+    """
     dims = layout.dims
     if not 0 <= control_value < layout.control_dim:
         raise ValueError(f"control value {control_value} outside 0..{layout.control_dim - 1}")
@@ -68,50 +76,48 @@ def _cswap_unitary(layout: ForkLayout, control_value: int, target_a: int, target
         raise ValueError("swap targets must index non-control registers")
     if dims[target_a] != dims[target_b]:
         raise ValueError(f"swap targets have unequal dimensions {dims[target_a]} != {dims[target_b]}")
-    total = layout.total_dim
-    u = np.zeros((total, total))
-    for idx in range(total):
-        digits = list(np.unravel_index(idx, dims))
-        if digits[0] == control_value:
-            digits[target_a], digits[target_b] = digits[target_b], digits[target_a]
-        u[np.ravel_multi_index(tuple(digits), dims), idx] = 1.0
-    return u
+    grid = np.arange(layout.total_dim).reshape(dims)
+    perm = grid.copy()
+    # grid[control_value] has lost the control axis, so register r is axis r - 1
+    perm[control_value] = np.swapaxes(grid[control_value], target_a - 1, target_b - 1)
+    perm = perm.reshape(-1)
+    perm.setflags(write=False)
+    return perm
 
 
 def cswap_channel(layout: ForkLayout, control_value: int, target_a: int, target_b: int) -> np.ndarray:
     """Superoperator of the controlled-SWAP unitary on the composite space."""
-    u = _cswap_unitary(layout, control_value, target_a, target_b)
+    u = np.eye(layout.total_dim)[_cswap_perm(layout, control_value, target_a, target_b)]
     return kron(u.conj(), u)
 
 
-def _embed_generator(gen: GkslGenerator, layout: ForkLayout, register: int) -> GkslGenerator:
-    """Lift a generator to act on one register of the composite space."""
-    dims = layout.dims
-
-    def embed(op):
-        out = np.ones((1, 1), dtype=complex)
-        for pos, d in enumerate(dims):
-            out = kron(out, op if pos == register else np.eye(d))
-        return out
-
-    return GkslGenerator(
-        dim=layout.total_dim,
-        hamiltonian=embed(gen.hamiltonian),
-        terms=tuple((embed(op), rate) for op, rate in gen.terms),
-    )
+def _on_register(rho: np.ndarray, dims: tuple, register: int, superop: np.ndarray) -> np.ndarray:
+    """Apply a column-stacking d^2 x d^2 superoperator to one register of rho."""
+    d = dims[register]
+    pre = int(np.prod(dims[:register]))
+    post = int(np.prod(dims[register + 1:]))
+    # superop[b*d + a, k*d + i] maps X[i, k] into out[a, b]
+    s = superop.reshape(d, d, d, d)
+    t = rho.reshape(pre, d, post, pre, d, post)
+    return np.einsum("baki,xiyzkw->xayzbw", s, t).reshape(rho.shape)
 
 
-def _sweep_on_register(gen, layout, register, dt, direction) -> np.ndarray:
-    return s1_dir(_embed_generator(gen, layout, register), dt, direction)
-
-
-def _fork_s1_block(gen: GkslGenerator, dt: float) -> tuple:
-    """(layout, composite superoperator) of one first-order fork block."""
+def _s1_block(gen: GkslGenerator, dt: float) -> tuple:
+    """(layout, prep, route, branches): fair-coin control, forward sweep on
+    slot 1, reversed sweep on slot 2."""
     layout = ForkLayout(control_dim=2, system_dim=gen.dim, n_ancillas=1)
-    swap = cswap_channel(layout, control_value=1, target_a=1, target_b=2)
-    forward = _sweep_on_register(gen, layout, 1, dt, Direction.FORWARD)
-    backward = _sweep_on_register(gen, layout, 2, dt, Direction.REVERSED)
-    return layout, swap @ backward @ forward @ swap
+    branches = ((1, s1_dir(gen, dt, Direction.FORWARD)), (2, s1_dir(gen, dt, Direction.REVERSED)))
+    return layout, np.eye(2, dtype=complex) / 2, (_cswap_perm(layout, 1, 1, 2),), branches
+
+
+def _qdrift_block(gen: GkslGenerator, omega: float) -> tuple:
+    """(layout, prep, route, branches): rate-weighted control; control value
+    k - 1 routes the system to slot k, where term k's bare channel acts."""
+    m = gen.m_total
+    layout = ForkLayout(control_dim=m, system_dim=gen.dim, n_ancillas=m - 1)
+    route = tuple(_cswap_perm(layout, k - 1, 1, k) for k in range(2, m + 1))
+    branches = tuple((k, constituent_channel(gen, k, omega, with_rate=False)) for k in range(1, m + 1))
+    return layout, np.diag(qdrift_probs(gen)).astype(complex), route, branches
 
 
 def _as_state(rho, dim, name) -> np.ndarray:
@@ -121,13 +127,23 @@ def _as_state(rho, dim, name) -> np.ndarray:
     return mat
 
 
-def _run_block(block: np.ndarray, layout: ForkLayout, prep: np.ndarray, rho_sys: np.ndarray,
-               rho_phi: np.ndarray) -> np.ndarray:
-    total = prep
-    for slot in range(1 + layout.n_ancillas):
-        total = kron(total, rho_sys if slot == 0 else rho_phi)
-    out = devectorize(block @ vectorize(total))
-    return partial_trace(out, list(layout.dims), keep=[1])
+def _run(block: tuple, n: int, rho0, rho_phi, name: str) -> DensityMatrix:
+    """n blocks of prepare, route, branch, unroute, trace out."""
+    layout, prep, route, branches = block
+    sys_mat = _as_state(rho0, layout.system_dim, name)
+    phi_mat = _as_state(rho_phi, layout.system_dim, "work state")
+    for _ in range(n):
+        rho = kron(prep, sys_mat)
+        for _ in range(layout.n_ancillas):
+            rho = kron(rho, phi_mat)
+        for perm in route:
+            rho = rho[np.ix_(perm, perm)]
+        for register, channel in branches:
+            rho = _on_register(rho, layout.dims, register, channel)
+        for perm in route:
+            rho = rho[np.ix_(perm, perm)]
+        sys_mat = partial_trace(rho, list(layout.dims), keep=[1])
+    return DensityMatrix(sys_mat)
 
 
 def fork_s1_step(gen: GkslGenerator, dt: float, rho_sys, rho_phi) -> DensityMatrix:
@@ -138,61 +154,24 @@ def fork_s1_step(gen: GkslGenerator, dt: float, rho_sys, rho_phi) -> DensityMatr
     sweep on the other; the swap routing makes the traced output the exact
     two-term mixture applied to the system state.
     """
-    sys_mat = _as_state(rho_sys, gen.dim, "system state")
-    phi_mat = _as_state(rho_phi, gen.dim, "work state")
-    layout, block = _fork_s1_block(gen, dt)
-    prep = np.eye(2, dtype=complex) / 2
-    return DensityMatrix(_run_block(block, layout, prep, sys_mat, phi_mat))
+    return _run(_s1_block(gen, dt), 1, rho_sys, rho_phi, "system state")
 
 
 def fork_s1_run(gen: GkslGenerator, t: float, n: int, rho0, rho_phi) -> DensityMatrix:
     """n fork blocks with control/work re-preparation between blocks."""
     if n < 1:
         raise ValueError("step count must be a positive integer")
-    sys_mat = _as_state(rho0, gen.dim, "initial state")
-    phi_mat = _as_state(rho_phi, gen.dim, "work state")
-    layout, block = _fork_s1_block(gen, t / n)
-    prep = np.eye(2, dtype=complex) / 2
-    for _ in range(n):
-        sys_mat = _run_block(block, layout, prep, sys_mat, phi_mat)
-    return DensityMatrix(sys_mat)
-
-
-def _fork_qdrift_block(gen: GkslGenerator, omega: float) -> tuple:
-    """(layout, prep, composite superoperator) of one QDRIFT fork block."""
-    m = gen.m_total
-    layout = ForkLayout(control_dim=m, system_dim=gen.dim, n_ancillas=m - 1)
-    d2 = layout.total_dim**2
-
-    route = np.eye(d2, dtype=complex)
-    for k in range(2, m + 1):
-        route = cswap_channel(layout, control_value=k - 1, target_a=1, target_b=k) @ route
-
-    branch = np.eye(d2, dtype=complex)
-    for k in range(1, m + 1):
-        emb = _embed_generator(gen, layout, register=k)
-        branch = constituent_channel(emb, k, omega, with_rate=False) @ branch
-
-    prep = np.diag(qdrift_probs(gen)).astype(complex)
-    return layout, prep, route @ branch @ route
+    return _run(_s1_block(gen, t / n), n, rho0, rho_phi, "initial state")
 
 
 def fork_qdrift_step(gen: GkslGenerator, omega: float, rho_sys, rho_phi) -> DensityMatrix:
     """One QDRIFT fork block: rate-weighted control, per-slot term channels."""
-    sys_mat = _as_state(rho_sys, gen.dim, "system state")
-    phi_mat = _as_state(rho_phi, gen.dim, "work state")
-    layout, prep, block = _fork_qdrift_block(gen, omega)
-    return DensityMatrix(_run_block(block, layout, prep, sys_mat, phi_mat))
+    return _run(_qdrift_block(gen, omega), 1, rho_sys, rho_phi, "system state")
 
 
 def fork_qdrift_run(gen: GkslGenerator, t: float, n: int, rho0, rho_phi) -> DensityMatrix:
     """n QDRIFT fork blocks at step length t * total_rate / n."""
     if n < 1:
         raise ValueError("step count must be a positive integer")
-    sys_mat = _as_state(rho0, gen.dim, "initial state")
-    phi_mat = _as_state(rho_phi, gen.dim, "work state")
     omega = t * float(np.sum(gen.rates)) / n
-    layout, prep, block = _fork_qdrift_block(gen, omega)
-    for _ in range(n):
-        sys_mat = _run_block(block, layout, prep, sys_mat, phi_mat)
-    return DensityMatrix(sys_mat)
+    return _run(_qdrift_block(gen, omega), n, rho0, rho_phi, "initial state")

@@ -200,14 +200,18 @@ class GeneratorStats:
 def generator_stats(gen: GkslGenerator, gamma_includes_hamiltonian: bool = True) -> GeneratorStats:
     """Diamond-norm statistics of a generator's terms.
 
+    One SDP per term: the diamond norm is homogeneous, so a rate-scaled
+    term's norm is its rate times the bare term's norm.
+
     ``gamma_includes_hamiltonian`` keeps the Hamiltonian's unit rate inside
     the total decay rate (the default); disable to count dissipators only.
     """
     scaled = 0.0
     bare = 0.0
     for k in range(1, gen.m_total + 1):
-        scaled = max(scaled, diamond_norm(term_superop(gen, k, with_rate=True)))
-        bare = max(bare, diamond_norm(term_superop(gen, k, with_rate=False)))
+        norm = diamond_norm(term_superop(gen, k, with_rate=False))
+        bare = max(bare, norm)
+        scaled = max(scaled, gen.rate(k) * norm)
     rates = gen.rates
     total = float(np.sum(rates)) if gamma_includes_hamiltonian else float(np.sum(rates[1:]))
     return GeneratorStats(

@@ -27,7 +27,7 @@ class Tolerances:
     sdp_max_iters: int = 500
     # exact-mixture cap for the second-order randomised formula
     s2_ran_max_terms: int = 6        # M! channel products beyond this refused
-    # forking register cap (superoperator side = fork_dim_cap**2)
+    # forking register cap (side of the composite density matrix)
     fork_dim_cap: int = 64
 
 

@@ -9,11 +9,12 @@ from lindsim.forking import (
     fork_s1_run,
     fork_s1_step,
 )
-from lindsim.formulas import qdrift_exact, s1_ran_exact
+from lindsim.formulas import Direction, qdrift_exact, qdrift_probs, s1_dir, s1_ran_exact
 from lindsim.lindblad import GkslGenerator, constituent_channel, exact_channel
-from lindsim.linalg import DensityMatrix, devectorize, kron, trace_distance, vectorize
+from lindsim.linalg import DensityMatrix, devectorize, kron, partial_trace, trace_distance, vectorize
 from lindsim.models import builtin_model
 from lindsim.norms import generator_stats
+from lindsim.tolerances import TOL
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SM = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -26,8 +27,80 @@ PHIS = [
 ]
 
 
+ORACLE_MODELS = [("amp_damp", {}), ("qubit3", {}), ("random", dict(d=2, m=3, seed=7))]
+
+
 def mixture_state(channel, rho):
     return devectorize(channel @ vectorize(rho.matrix))
+
+
+def states(d):
+    """Ground, maximally mixed and a full-rank state with coherences, all d x d."""
+    g = np.arange(1.0, d * d + 1).reshape(d, d) * (1 + 0.5j)
+    mixed = g @ g.conj().T + np.eye(d)
+    return [DensityMatrix.ground(d), DensityMatrix.maximally_mixed(d),
+            DensityMatrix(mixed / np.trace(mixed).real)]
+
+
+# --- reference: the fork blocks as dense composite superoperators -----------
+#
+# The circuit written out gate by gate on the D^2-sided superoperator space:
+# controlled-SWAP unitaries built basis state by basis state, branch channels
+# as exponentials of the generator embedded into the composite space.
+
+
+def loop_cswap_channel(layout, control_value, target_a, target_b):
+    dims = layout.dims
+    total = layout.total_dim
+    u = np.zeros((total, total))
+    for idx in range(total):
+        digits = list(np.unravel_index(idx, dims))
+        if digits[0] == control_value:
+            digits[target_a], digits[target_b] = digits[target_b], digits[target_a]
+        u[np.ravel_multi_index(tuple(digits), dims), idx] = 1.0
+    return kron(u.conj(), u)
+
+
+def embed_generator(gen, layout, register):
+    def embed(op):
+        out = np.ones((1, 1), dtype=complex)
+        for pos, d in enumerate(layout.dims):
+            out = kron(out, op if pos == register else np.eye(d))
+        return out
+
+    return GkslGenerator(dim=layout.total_dim, hamiltonian=embed(gen.hamiltonian),
+                         terms=tuple((embed(op), rate) for op, rate in gen.terms))
+
+
+def dense_block_output(dense_block, rho_sys, rho_phi):
+    block, layout, prep = dense_block
+    total = prep
+    for slot in range(1 + layout.n_ancillas):
+        total = kron(total, rho_sys.matrix if slot == 0 else rho_phi.matrix)
+    out = devectorize(block @ vectorize(total))
+    return partial_trace(out, list(layout.dims), keep=[1])
+
+
+def dense_s1_block(gen, dt):
+    layout = ForkLayout(control_dim=2, system_dim=gen.dim, n_ancillas=1)
+    swap = loop_cswap_channel(layout, 1, 1, 2)
+    forward = s1_dir(embed_generator(gen, layout, 1), dt, Direction.FORWARD)
+    backward = s1_dir(embed_generator(gen, layout, 2), dt, Direction.REVERSED)
+    return swap @ backward @ forward @ swap, layout, np.eye(2, dtype=complex) / 2
+
+
+def dense_qdrift_block(gen, omega):
+    m = gen.m_total
+    layout = ForkLayout(control_dim=m, system_dim=gen.dim, n_ancillas=m - 1)
+    d2 = layout.total_dim**2
+    route = np.eye(d2, dtype=complex)
+    for k in range(2, m + 1):
+        route = loop_cswap_channel(layout, k - 1, 1, k) @ route
+    branch = np.eye(d2, dtype=complex)
+    for k in range(1, m + 1):
+        branch = constituent_channel(embed_generator(gen, layout, k), k, omega,
+                                     with_rate=False) @ branch
+    return route @ branch @ route, layout, np.diag(qdrift_probs(gen)).astype(complex)
 
 
 def test_layout_arithmetic():
@@ -62,6 +135,15 @@ def test_cswap_is_involution():
     layout = ForkLayout(control_dim=2, system_dim=2, n_ancillas=1)
     chan = cswap_channel(layout, control_value=1, target_a=1, target_b=2)
     assert np.max(np.abs(chan @ chan - np.eye(64))) < 1e-13
+
+
+@pytest.mark.parametrize("layout", [ForkLayout(2, 2, 1), ForkLayout(3, 2, 2), ForkLayout(2, 3, 1)])
+def test_cswap_matches_basis_loop(layout):
+    n_regs = len(layout.dims)
+    for c in range(layout.control_dim):
+        for a in range(1, n_regs):
+            for b in range(1, n_regs):
+                assert np.array_equal(cswap_channel(layout, c, a, b), loop_cswap_channel(layout, c, a, b))
 
 
 def test_cswap_rejects_control_register_as_target():
@@ -186,3 +268,49 @@ def test_fork_qdrift_respects_dimension_cap():
     with pytest.raises(ValueError, match="classical-sampling"):
         fork_qdrift_step(gen, 0.1, DensityMatrix.maximally_mixed(3),
                          DensityMatrix.maximally_mixed(3))
+
+
+@pytest.mark.parametrize("name,params", ORACLE_MODELS)
+def test_fork_steps_match_dense_superoperator_reference(name, params):
+    gen = builtin_model(name, params)
+    dt = 0.2
+    s1_block, qdrift_block = dense_s1_block(gen, dt), dense_qdrift_block(gen, dt)
+    for phi in PHIS:
+        out = fork_s1_step(gen, dt, RHO0, phi)
+        assert np.max(np.abs(out.matrix - dense_block_output(s1_block, RHO0, phi))) <= 1e-12
+        outq = fork_qdrift_step(gen, dt, RHO0, phi)
+        assert np.max(np.abs(outq.matrix - dense_block_output(qdrift_block, RHO0, phi))) <= 1e-12
+
+
+def test_fork_s1_qutrit():
+    gen = builtin_model("random", dict(d=3, m=3, seed=2))  # 2 * 3^2 = 18
+    dt = 0.2
+    rho0, *phis = states(3)
+    outs = [fork_s1_step(gen, dt, rho0, phi) for phi in phis]
+    assert trace_distance(outs[0].matrix, mixture_state(s1_ran_exact(gen, dt), rho0)) <= 1e-10
+    assert trace_distance(outs[0], outs[1]) <= 1e-10
+
+
+def test_fork_qdrift_qutrit():
+    gen = builtin_model("random", dict(d=3, m=2, seed=2))  # 2 * 3^2 = 18
+    omega = 0.2
+    rho0, *phis = states(3)
+    outs = [fork_qdrift_step(gen, omega, rho0, phi) for phi in phis]
+    assert trace_distance(outs[0].matrix, mixture_state(qdrift_exact(gen, omega), rho0)) <= 1e-10
+    assert trace_distance(outs[0], outs[1]) <= 1e-10
+
+
+def test_fork_qdrift_at_dimension_cap():
+    gen = builtin_model("random", dict(d=2, m=4, seed=1))  # 4 * 2^4 = 64, the cap
+    assert ForkLayout(4, 2, 3).total_dim == TOL.fork_dim_cap
+    omega = 0.2
+    outs = [fork_qdrift_step(gen, omega, RHO0, phi) for phi in PHIS]
+    assert trace_distance(outs[0].matrix, mixture_state(qdrift_exact(gen, omega), RHO0)) <= 1e-10
+    assert trace_distance(outs[0], outs[1]) <= 1e-10
+    assert trace_distance(outs[0], outs[2]) <= 1e-10
+    t, n = 1.0, 4
+    chan = qdrift_exact(gen, t * float(np.sum(gen.rates)) / n)
+    runs = [fork_qdrift_run(gen, t, n, RHO0, phi) for phi in PHIS]
+    assert trace_distance(runs[0].matrix, mixture_state(np.linalg.matrix_power(chan, n), RHO0)) <= 1e-10
+    assert trace_distance(runs[0], runs[1]) <= 1e-10
+    assert trace_distance(runs[0], runs[2]) <= 1e-10

@@ -122,6 +122,31 @@ def test_generator_stats_rate_homogeneity():
         assert scaled.max_bare_norm == pytest.approx(base.max_bare_norm, abs=1e-6)
 
 
+@pytest.mark.parametrize("name,params", [
+    ("amp_damp", {}),
+    ("qubit3", {}),
+    ("random", dict(d=2, m=3, seed=7)),
+    ("random", dict(d=3, m=4, seed=11)),
+])
+def test_generator_stats_one_solve_per_term(monkeypatch, name, params):
+    gen = builtin_model(name, params)
+    scaled = max(diamond_norm(term_superop(gen, k, with_rate=True))
+                 for k in range(1, gen.m_total + 1))
+    bare = max(diamond_norm(term_superop(gen, k, with_rate=False))
+               for k in range(1, gen.m_total + 1))
+    calls = []
+
+    def counting(superop):
+        calls.append(1)
+        return diamond_norm(superop)
+
+    monkeypatch.setattr("lindsim.norms.diamond_norm", counting)
+    stats = generator_stats(gen)
+    assert len(calls) == gen.m_total
+    assert stats.max_scaled_norm == pytest.approx(scaled, abs=TOL.diamond_abs_tol)
+    assert stats.max_bare_norm == pytest.approx(bare, abs=TOL.diamond_abs_tol)
+
+
 def test_generator_norm_dominated_by_term_count():
     for name in ("amp_damp", "qubit3"):
         gen = builtin_model(name)
