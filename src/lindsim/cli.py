@@ -19,6 +19,7 @@ from .harness import (
     load_experiment,
     resolve_model,
     run_sweep,
+    sweep_point_channel,
     table1_report,
     validate_all,
 )
@@ -80,7 +81,6 @@ def _cmd_simulate(args) -> int:
     gen = resolve_model(spec)
     stats = generator_stats(gen)
     from .formulas import error_bound, step_count
-    from .harness import approximation_step_channel
     from .lindblad import exact_channel, is_cptp
 
     rho0 = (DensityMatrix.ground(gen.dim) if spec.initial_state == "ground"
@@ -96,14 +96,15 @@ def _cmd_simulate(args) -> int:
         else:
             n = step_count(method, stats, spec.t, spec.epsilon_grid[0],
                            conservative=spec.conservative).n_steps
-        step = approximation_step_channel(method, gen, spec.t, n, stats.total_rate)
-        total = np.linalg.matrix_power(step, n)
+        total, stat_err = sweep_point_channel(spec, gen, stats, method, n, t_exact)
         rho_approx = devectorize(total @ vectorize(rho0.matrix))
         dist = trace_distance(rho_t, rho_approx)
         bound = error_bound(method, stats, spec.t, n, conservative=spec.conservative)
         physical = "cptp" if is_cptp(total) else "NOT CPTP"
+        sampled = (f" sampled R={spec.trajectories} stat_err={stat_err:.3e}"
+                   if stat_err is not None else "")
         print(f"{method.value:<8} N={n:<6} trace_dist={dist:.3e} "
-              f"bound/2={bound / 2:.3e} [{physical}]")
+              f"bound/2={bound / 2:.3e}{sampled} [{physical}]")
     return 0
 
 

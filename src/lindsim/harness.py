@@ -52,7 +52,7 @@ from .norms import (
     power_contraction_check,
     sampled_diamond_lower_bound,
 )
-from .sampling import draw_gateset, gateset_channel, mixture_estimate
+from .sampling import draw_gateset, mixture_estimate, trajectory_channels
 from .tolerances import TOL
 
 __all__ = [
@@ -66,7 +66,9 @@ __all__ = [
     "load_experiment",
     "resolve_model",
     "run_sweep",
+    "sweep_point_channel",
     "table1_report",
+    "trajectory_batches",
     "validate_all",
 ]
 
@@ -76,6 +78,7 @@ CSV_COLUMNS = [
 ]
 
 SAMPLED_METHODS = (Method.S1_RAN, Method.S2_RAN, Method.QDRIFT)
+STAT_BATCHES = 8  # contiguous trajectory batches behind a sampled point's stat_err
 
 
 class ConfigError(ValueError):
@@ -110,6 +113,8 @@ class ExperimentSpec:
             raise ConfigError("t must be positive")
         if self.trajectories < 1:
             raise ConfigError("trajectories must be positive")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed must be in [0, 2**64), not {self.seed}")
         if self.initial_state not in ("ground", "mixed"):
             raise ConfigError(f"unknown initial_state '{self.initial_state}'")
         if not self.methods:
@@ -228,27 +233,35 @@ def approximation_step_channel(method: Method, gen: GkslGenerator, t: float, n: 
     raise ValueError(f"unknown method {method!r}")
 
 
-def _sampled_channel_with_batches(method, gen, t, n, trajectories, seed, n_batches=8):
-    """Mean sampled channel plus contiguous-batch means for the error bar."""
-    memo: dict = {}
-    d2 = gen.dim**2
-    batch_sums = [np.zeros((d2, d2), dtype=complex) for _ in range(n_batches)]
-    batch_counts = [0] * n_batches
-    per = max(1, trajectories // n_batches)
-    for r in range(trajectories):
-        gs = draw_gateset(method, gen, t, n, seed, trajectory=r)
-        b = min(r // per, n_batches - 1)
-        batch_sums[b] += gateset_channel(gs, gen, _memo=memo)
-        batch_counts[b] += 1
-    total = sum(batch_sums) / trajectories
-    batches = [s / c for s, c in zip(batch_sums, batch_counts) if c > 0]
-    return total, batches
+def trajectory_batches(count: int) -> list:
+    """Split trajectories 0..count-1 into contiguous batches whose sizes differ by at most 1."""
+    q, rem = divmod(count, STAT_BATCHES)
+    bounds = [b * q + min(b, rem) for b in range(STAT_BATCHES + 1)]
+    return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
 
 
 def _batch_standard_error(eps_batches) -> float:
     if len(eps_batches) < 2:
         return 0.0
     return float(np.std(eps_batches, ddof=1) / math.sqrt(len(eps_batches)))
+
+
+def sweep_point_channel(spec: ExperimentSpec, gen: GkslGenerator, stats: GeneratorStats,
+                        method: Method, n: int, t_exact: np.ndarray):
+    """Total channel of one sweep point, and its stat_err (None unless sampled).
+
+    In sampled mode the channel is the mean over ``spec.trajectories``
+    schedules, and stat_err is the standard error of the diamond-norm errors
+    of the contiguous batch means; otherwise it is the exact mixture power.
+    """
+    if spec.sampled and method in SAMPLED_METHODS:
+        batches = trajectory_batches(spec.trajectories)
+        sums = [trajectory_channels(method, gen, spec.t, n, spec.seed, b).sum(axis=0)
+                for b in batches]
+        eps_batches = [diamond_norm(t_exact - s / len(b)) for s, b in zip(sums, batches)]
+        return sum(sums) / spec.trajectories, _batch_standard_error(eps_batches)
+    step = approximation_step_channel(method, gen, spec.t, n, stats.total_rate)
+    return np.linalg.matrix_power(step, n), None
 
 
 def run_sweep(spec: ExperimentSpec, write_files: bool = True):
@@ -275,15 +288,7 @@ def run_sweep(spec: ExperimentSpec, write_files: bool = True):
         start = time.perf_counter()
         try:
             bound = error_bound(method, stats, spec.t, n, conservative=spec.conservative)
-            stat_err = None
-            if spec.sampled and method in SAMPLED_METHODS:
-                total, batches = _sampled_channel_with_batches(
-                    method, gen, spec.t, n, spec.trajectories, spec.seed)
-                eps_batches = [diamond_norm(t_exact - b) for b in batches]
-                stat_err = _batch_standard_error(eps_batches)
-            else:
-                step = approximation_step_channel(method, gen, spec.t, n, stats.total_rate)
-                total = np.linalg.matrix_power(step, n)
+            total, stat_err = sweep_point_channel(spec, gen, stats, method, n, t_exact)
             eps_emp = diamond_norm(t_exact - total)
             rho_approx = devectorize(total @ vectorize(rho0.matrix))
             record = SweepRecord(

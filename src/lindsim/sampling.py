@@ -1,9 +1,13 @@
 """Seeded gate-set sampling and trajectory averaging.
 
-Randomness is counter-based: every draw comes from a Philox stream whose
-256-bit counter encodes (trajectory index, step index), so gate sets are
-reproducible bit-for-bit, independent of evaluation order, and trajectories
-can be generated in parallel without shared state.
+Trajectory r draws its whole schedule from one Philox stream (key: the seed,
+counter: r << 128) as one (n, w) array of uniforms.  Row l is step l: the
+forward sweep if u < 0.5 (s1_ran), the permutation argsort(u) + 1 (s2_ran),
+term searchsorted(cdf, u) (qdrift).  Row l depends on neither n nor other
+trajectories: schedules are bit-reproducible, prefix-stable in n and
+order-independent.  Steps are integer codes, so a batch of trajectories is
+multiplied out from a table of its distinct step channels, one stacked
+matmul per step.
 """
 
 from __future__ import annotations
@@ -12,23 +16,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .formulas import Direction, Method, step_count
+from .formulas import Direction, Method, qdrift_probs, s1_dir, s2_sigma, step_count
 from .lindblad import GkslGenerator, constituent_channel
 from .linalg import DensityMatrix, devectorize, vectorize
 from .norms import GeneratorStats, generator_stats
 
 __all__ = [
-    "ChannelStep",
-    "GateSet",
-    "S1Block",
-    "S2Block",
-    "TermExp",
-    "apply_gateset",
-    "draw_gateset",
-    "gateset_channel",
-    "mixture_estimate",
-    "sample_gateset",
+    "ChannelStep", "GateSet", "S1Block", "S2Block", "TermExp", "apply_gateset", "draw_gateset",
+    "gateset_channel", "mixture_estimate", "sample_gateset", "trajectory_channels",
 ]
+
+_CHUNK = 256  # trajectories multiplied out together by mixture_estimate
 
 
 @dataclass(frozen=True)
@@ -67,51 +65,48 @@ class GateSet:
             raise ValueError("step length must be positive")
 
 
-def _stream(seed: int, trajectory: int, step: int) -> np.random.Generator:
-    """Philox stream for one (trajectory, step) draw; windows never overlap."""
-    counter = (int(trajectory) << 128) | (int(step) << 64)
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed), counter=counter))
+def _draw(method: Method, gen: GkslGenerator, t: float, n: int, seed: int,
+          trajectories: range):
+    """Step length and integer step codes (one row per trajectory) of sampled schedules."""
+    if n < 1:
+        raise ValueError("step count must be a positive integer")
+    if t <= 0:
+        raise ValueError("simulation time must be positive")
+    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be an integer in [0, 2**64), not {seed!r}")
+    if method not in (Method.S1_RAN, Method.S2_RAN, Method.QDRIFT):
+        raise ValueError(f"gate sets exist only for the sampled methods, not {method.value}")
+    m = gen.m_total
+    width = m if method == Method.S2_RAN else 1
+    u = np.array([np.random.Generator(np.random.Philox(key=int(seed), counter=r << 128))
+                  .random((n, width)) for r in trajectories]).reshape(len(trajectories), n, width)
+    if method == Method.S1_RAN:
+        return t / n, (u[..., 0] >= 0.5).astype(np.int64)  # 0: forward, 1: reversed
+    if method == Method.S2_RAN:  # permutation digits in base m; int64 holds m**m for m < 16
+        digits = np.array([m**j for j in range(m - 1, -1, -1)], dtype=np.int64 if m < 16 else object)
+        return t / n, np.argsort(u, axis=-1, kind="stable") @ digits
+    cdf = np.cumsum(qdrift_probs(gen))
+    dt = t * float(np.sum(gen.rates)) / n
+    return dt, np.minimum(np.searchsorted(cdf, u[..., 0], side="right"), m - 1)
 
 
-def _fisher_yates(rng: np.random.Generator, m: int) -> tuple:
-    perm = list(range(1, m + 1))
-    for i in range(m - 1, 0, -1):
-        j = int(rng.integers(0, i + 1))
-        perm[i], perm[j] = perm[j], perm[i]
-    return tuple(perm)
+def _step(method: Method, code: int, m: int):
+    """The channel step a code stands for."""
+    if method == Method.S1_RAN:
+        return S1Block(Direction.REVERSED if code else Direction.FORWARD)
+    if method == Method.S2_RAN:
+        return S2Block(tuple(1 + code // m**j % m for j in range(m - 1, -1, -1)))
+    return TermExp(k=code + 1, with_rate=False)
 
 
 def draw_gateset(method: Method, gen: GkslGenerator, t: float, n: int, seed: int,
                  trajectory: int = 0) -> GateSet:
     """Draw an n-step gate set for one of the sampled methods."""
-    if n < 1:
-        raise ValueError("step count must be a positive integer")
-    if t <= 0:
-        raise ValueError("simulation time must be positive")
-    m = gen.m_total
-    steps = []
-    if method == Method.S1_RAN:
-        dt = t / n
-        for l in range(n):
-            coin = int(_stream(seed, trajectory, l).integers(0, 2))
-            steps.append(S1Block(Direction.FORWARD if coin == 0 else Direction.REVERSED))
-    elif method == Method.S2_RAN:
-        dt = t / n
-        for l in range(n):
-            steps.append(S2Block(_fisher_yates(_stream(seed, trajectory, l), m)))
-    elif method == Method.QDRIFT:
-        from .formulas import qdrift_probs
-
-        probs = qdrift_probs(gen)
-        cdf = np.cumsum(probs)
-        dt = t * float(np.sum(gen.rates)) / n
-        for l in range(n):
-            u = float(_stream(seed, trajectory, l).random())
-            k = 1 + int(np.searchsorted(cdf, u, side="right"))
-            steps.append(TermExp(k=min(k, m), with_rate=False))
-    else:
-        raise ValueError(f"gate sets exist only for the sampled methods, not {method.value}")
-    return GateSet(steps=tuple(steps), seed=seed, method=method, dt=dt, n_steps=n)
+    dt, codes = _draw(method, gen, t, n, seed, range(trajectory, trajectory + 1))
+    codes = codes[0].tolist()
+    steps = {c: _step(method, c, gen.m_total) for c in set(codes)}
+    return GateSet(steps=tuple(steps[c] for c in codes), seed=seed, method=method, dt=dt,
+                   n_steps=n)
 
 
 def sample_gateset(method: Method, gen: GkslGenerator, t: float, epsilon: float, seed: int,
@@ -124,8 +119,6 @@ def sample_gateset(method: Method, gen: GkslGenerator, t: float, epsilon: float,
 
 
 def _step_channel(step, gen: GkslGenerator, dt: float) -> np.ndarray:
-    from .formulas import s1_dir, s2_sigma
-
     if isinstance(step, S1Block):
         return s1_dir(gen, dt, step.direction)
     if isinstance(step, S2Block):
@@ -135,17 +128,22 @@ def _step_channel(step, gen: GkslGenerator, dt: float) -> np.ndarray:
     raise TypeError(f"unknown channel step {step!r}")
 
 
-def gateset_channel(gs: GateSet, gen: GkslGenerator, _memo: dict | None = None) -> np.ndarray:
-    """Superoperator of the whole schedule (steps[0] applied first)."""
-    memo = {} if _memo is None else _memo
-    total = np.eye(gen.dim**2, dtype=complex)
-    for step in gs.steps:
-        mat = memo.get(step)
-        if mat is None:
-            mat = _step_channel(step, gen, gs.dt)
-            memo[step] = mat
-        total = mat @ total
+def _products(steps, index: np.ndarray, gen: GkslGenerator, dt: float) -> np.ndarray:
+    """Channels of schedules given as rows of indices into ``steps``; column 0 acts first."""
+    d2 = gen.dim**2
+    table = np.array([_step_channel(s, gen, dt) for s in steps], dtype=complex).reshape(-1, d2, d2)
+    total = np.broadcast_to(np.eye(d2, dtype=complex), (len(index), d2, d2)).copy()
+    for column in index.T:
+        total = table[column] @ total
     return total
+
+
+def gateset_channel(gs: GateSet, gen: GkslGenerator) -> np.ndarray:
+    """Superoperator of the whole schedule (steps[0] applied first)."""
+    distinct = list(dict.fromkeys(gs.steps))
+    position = {step: i for i, step in enumerate(distinct)}
+    index = np.array([position[s] for s in gs.steps], dtype=np.intp).reshape(1, -1)
+    return _products(distinct, index, gen, gs.dt)[0]
 
 
 def apply_gateset(gs: GateSet, gen: GkslGenerator, rho0: DensityMatrix) -> DensityMatrix:
@@ -157,19 +155,20 @@ def apply_gateset(gs: GateSet, gen: GkslGenerator, rho0: DensityMatrix) -> Densi
     return DensityMatrix(out)
 
 
+def trajectory_channels(method: Method, gen: GkslGenerator, t: float, n: int, seed: int,
+                        trajectories: range) -> np.ndarray:
+    """Stacked schedule channels of the given trajectories, one per index."""
+    dt, codes = _draw(method, gen, t, n, seed, trajectories)
+    distinct, index = np.unique(codes.ravel(), return_inverse=True)
+    steps = [_step(method, c, gen.m_total) for c in distinct.tolist()]
+    return _products(steps, index.reshape(codes.shape), gen, dt)
+
+
 def mixture_estimate(method: Method, gen: GkslGenerator, t: float, n: int,
                      r_samples: int, seed: int) -> np.ndarray:
-    """Monte Carlo average of r sampled schedule channels.
-
-    Unbiased estimator of the exact mixture channel power; trajectory r uses
-    the derived stream (seed, r, step), so results are independent of
-    evaluation order and r = 1 reproduces the single default gate set.
-    """
+    """Monte Carlo average of r sampled schedule channels (unbiased for the exact
+    mixture channel power); r = 1 reproduces the default gate set."""
     if r_samples < 1:
         raise ValueError("need at least one trajectory")
-    memo: dict = {}
-    total = np.zeros((gen.dim**2, gen.dim**2), dtype=complex)
-    for r in range(r_samples):
-        gs = draw_gateset(method, gen, t, n, seed, trajectory=r)
-        total += gateset_channel(gs, gen, _memo=memo)
-    return total / r_samples
+    return sum(trajectory_channels(method, gen, t, n, seed, range(lo, min(lo + _CHUNK, r_samples)))
+               .sum(axis=0) for lo in range(0, r_samples, _CHUNK)) / r_samples

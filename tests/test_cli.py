@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from lindsim import norms
@@ -113,3 +114,51 @@ def test_malformed_config_is_bad_input(tmp_path, capsys):
     path.write_text("[experiment]\nmodel = amp_damp\nmethods = s1_det\nt = 1\nseed = 0\n")
     assert main(["sweep", str(path)]) == 2
     assert "exactly one" in capsys.readouterr().err
+
+
+SAMPLED_CONFIG = """
+[experiment]
+model = random d=2 m=3 seed=7
+methods = qdrift
+t = 1.0
+n_grid = 8
+seed = {seed}
+trajectories = 40
+sampled = true
+outputs = {out}
+"""
+
+
+def test_negative_seed_is_bad_input(tmp_path, capsys):
+    path = tmp_path / "neg.ini"
+    path.write_text(SAMPLED_CONFIG.format(seed=-1, out=tmp_path / "out"))
+    assert main(["sweep", str(path)]) == 2
+    assert "seed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_simulate_reports_the_sampled_channel(tmp_path, capsys):
+    from lindsim.formulas import Method, qdrift_exact
+    from lindsim.lindblad import exact_channel
+    from lindsim.linalg import DensityMatrix, devectorize, trace_distance, vectorize
+    from lindsim.models import builtin_model
+    from lindsim.sampling import mixture_estimate
+
+    path = tmp_path / "sampled.ini"
+    path.write_text(SAMPLED_CONFIG.format(seed=5, out=tmp_path / "out"))
+    assert main(["simulate", str(path)]) == 0
+    line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("qdrift"))
+    assert "sampled R=40 stat_err=" in line
+    printed = float(line.split("trace_dist=")[1].split()[0])
+
+    gen = builtin_model("random", dict(d=2, m=3, seed=7))
+    rho0 = vectorize(DensityMatrix.ground(2).matrix)
+    rho_t = devectorize(exact_channel(gen, 1.0) @ rho0)
+
+    def dist(channel):
+        return trace_distance(rho_t, devectorize(channel @ rho0))
+
+    sampled = dist(mixture_estimate(Method.QDRIFT, gen, 1.0, 8, r_samples=40, seed=5))
+    exact = dist(np.linalg.matrix_power(qdrift_exact(gen, float(np.sum(gen.rates)) / 8), 8))
+    assert printed == pytest.approx(sampled, rel=2e-3)
+    assert printed != pytest.approx(exact, rel=2e-3)

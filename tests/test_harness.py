@@ -12,7 +12,9 @@ from lindsim.harness import (
     load_experiment,
     resolve_model,
     run_sweep,
+    sweep_point_channel,
     table1_report,
+    trajectory_batches,
     validate_all,
     write_sweep_csv,
 )
@@ -164,6 +166,50 @@ def test_run_sweep_sampled_mode_has_stat_err(tmp_path):
     # sampled records satisfy the bound within 3 sigma
     for r in records:
         assert r.epsilon_empirical <= r.epsilon_bound + 3 * r.stat_err
+
+
+def test_trajectory_batches_are_contiguous_and_near_equal():
+    batches = trajectory_batches(15)
+    assert [len(b) for b in batches] == [2, 2, 2, 2, 2, 2, 2, 1]
+    assert [r for b in batches for r in b] == list(range(15))
+    assert trajectory_batches(1024) == [range(128 * b, 128 * (b + 1)) for b in range(8)]
+    assert trajectory_batches(3) == [range(0, 1), range(1, 2), range(2, 3)]
+
+
+def test_sampled_point_is_the_trajectory_mean():
+    from lindsim.lindblad import exact_channel
+    from lindsim.norms import generator_stats
+    from lindsim.sampling import mixture_estimate
+
+    spec = ExperimentSpec(model="random d=2 m=3 seed=7", methods=(Method.S2_RAN,), t=1.0,
+                          n_grid=(6,), seed=3, trajectories=15, sampled=True)
+    gen = resolve_model(spec)
+    total, stat_err = sweep_point_channel(spec, gen, generator_stats(gen), Method.S2_RAN, 6,
+                                          exact_channel(gen, 1.0))
+    assert stat_err > 0
+    expected = mixture_estimate(Method.S2_RAN, gen, 1.0, 6, r_samples=15, seed=3)
+    assert np.max(np.abs(total - expected)) <= 1e-12
+
+
+def test_exact_point_is_the_mixture_power():
+    from lindsim.harness import approximation_step_channel
+    from lindsim.norms import generator_stats
+
+    spec = ExperimentSpec(model="random d=2 m=3 seed=7", methods=(Method.QDRIFT,), t=1.0,
+                          n_grid=(6,), seed=3)
+    gen = resolve_model(spec)
+    stats = generator_stats(gen)
+    total, stat_err = sweep_point_channel(spec, gen, stats, Method.QDRIFT, 6, None)
+    step = approximation_step_channel(Method.QDRIFT, gen, 1.0, 6, stats.total_rate)
+    assert stat_err is None
+    assert np.array_equal(total, np.linalg.matrix_power(step, 6))
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_uint64_is_config_error(seed):
+    with pytest.raises(ConfigError, match="seed"):
+        ExperimentSpec(model="amp_damp", methods=(Method.QDRIFT,), t=1.0, n_grid=(4,),
+                       seed=seed, sampled=True)
 
 
 def test_run_sweep_records_failures_and_continues(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lindsim.formulas import Direction, Method, qdrift_exact, s1_dir, s2_ran_exact
+from lindsim.formulas import Direction, Method, qdrift_exact, s1_dir, s2_ran_exact, s2_sigma
 from lindsim.lindblad import GkslGenerator, is_cptp
 from lindsim.linalg import DensityMatrix, devectorize, vectorize
 from lindsim.models import builtin_model
@@ -16,6 +16,7 @@ from lindsim.sampling import (
     gateset_channel,
     mixture_estimate,
     sample_gateset,
+    trajectory_channels,
 )
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -153,3 +154,89 @@ def test_gateset_validation():
         draw_gateset(Method.S1_RAN, builtin_model("amp_damp"), 1.0, 0, seed=0)
     with pytest.raises(ValueError, match="sampled methods"):
         draw_gateset(Method.S1_DET, builtin_model("amp_damp"), 1.0, 4, seed=0)
+
+
+SAMPLED = (Method.S1_RAN, Method.S2_RAN, Method.QDRIFT)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("method", SAMPLED)
+def test_stacked_products_match_single_gatesets(method, d):
+    g = builtin_model("random", dict(d=d, m=2, seed=4))
+    stacked = trajectory_channels(method, g, 1.0, 8, 13, range(16))
+    assert stacked.shape == (16, d * d, d * d)
+    for r in range(16):
+        single = gateset_channel(draw_gateset(method, g, 1.0, 8, 13, trajectory=r), g)
+        assert np.max(np.abs(stacked[r] - single)) <= 1e-12
+
+
+@pytest.mark.parametrize("method", SAMPLED)
+def test_draws_are_prefix_stable(gen, method):
+    for r in (0, 3):
+        long = draw_gateset(method, gen, 1.0, 40, seed=5, trajectory=r)
+        short = draw_gateset(method, gen, 1.0, 7, seed=5, trajectory=r)
+        assert long.steps[:7] == short.steps
+
+
+@pytest.mark.parametrize("method", SAMPLED)
+def test_trajectories_do_not_depend_on_their_batch(gen, method):
+    whole = trajectory_channels(method, gen, 1.0, 6, 21, range(10))
+    part = trajectory_channels(method, gen, 1.0, 6, 21, range(5, 10))
+    assert np.max(np.abs(whole[5:] - part)) <= 1e-12
+    assert draw_gateset(method, gen, 1.0, 6, 21, trajectory=7) != draw_gateset(
+        method, gen, 1.0, 6, 21, trajectory=8)
+
+
+def test_repeated_permutations_match_loop_product(gen):
+    perms = [(2, 1, 3), (1, 2, 3), (2, 1, 3), (3, 1, 2), (2, 1, 3), (1, 2, 3)]
+    gs = GateSet(steps=tuple(S2Block(p) for p in perms), seed=0, method=Method.S2_RAN,
+                 dt=0.1, n_steps=len(perms))
+    expected = np.eye(4, dtype=complex)
+    for p in perms:
+        expected = s2_sigma(gen, 0.1, p) @ expected
+    assert np.max(np.abs(gateset_channel(gs, gen) - expected)) <= 1e-12
+
+
+def test_mixture_estimate_is_the_mean_over_chunks(gen):
+    # 300 trajectories span two product chunks; the mean is chunk-independent
+    est = mixture_estimate(Method.QDRIFT, gen, 1.0, 5, r_samples=300, seed=8)
+    mean = trajectory_channels(Method.QDRIFT, gen, 1.0, 5, 8, range(300)).mean(axis=0)
+    assert np.max(np.abs(est - mean)) <= 1e-12
+
+
+def test_permutation_codes_beyond_int64():
+    # 17 terms: the base-17 permutation code exceeds int64
+    big = builtin_model("random", dict(d=2, m=17, seed=1))
+    gs = draw_gateset(Method.S2_RAN, big, 1.0, 3, seed=2, trajectory=1)
+    assert all(sorted(s.perm) == list(range(1, 18)) for s in gs.steps)
+    stacked = trajectory_channels(Method.S2_RAN, big, 1.0, 3, 2, range(2))
+    assert np.max(np.abs(stacked[1] - gateset_channel(gs, big))) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
+def test_draws_reject_seeds_outside_uint64(gen, seed):
+    with pytest.raises(ValueError, match="seed"):
+        draw_gateset(Method.S1_RAN, gen, 1.0, 4, seed=seed)
+
+
+def test_largest_seed_is_accepted(gen):
+    assert draw_gateset(Method.QDRIFT, gen, 1.0, 4, seed=2**64 - 1).n_steps == 4
+
+
+def test_schedules_follow_the_documented_stream(gen):
+    # trajectory r reads one (n, w) array of uniforms from Philox(seed, r << 128)
+    m, n, seed, r = gen.m_total, 12, 17, 3
+
+    def uniforms(width):
+        rng = np.random.Generator(np.random.Philox(key=seed, counter=r << 128))
+        return rng.random((n, width))
+
+    s1 = draw_gateset(Method.S1_RAN, gen, 1.0, n, seed, trajectory=r)
+    forward = [s.direction == Direction.FORWARD for s in s1.steps]
+    assert forward == list(uniforms(1)[:, 0] < 0.5)
+    s2 = draw_gateset(Method.S2_RAN, gen, 1.0, n, seed, trajectory=r)
+    assert [s.perm for s in s2.steps] == [tuple(np.argsort(u) + 1) for u in uniforms(m)]
+    qd = draw_gateset(Method.QDRIFT, gen, 1.0, n, seed, trajectory=r)
+    cdf = np.cumsum(gen.rates / np.sum(gen.rates))
+    assert [s.k for s in qd.steps] == [min(1 + int(np.searchsorted(cdf, u, side="right")), m)
+                                       for u in uniforms(1)[:, 0]]
