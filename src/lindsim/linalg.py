@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .tolerances import TOL
 
@@ -84,12 +83,76 @@ def partial_trace(m, dims, keep) -> np.ndarray:
     return t.reshape(kept_side, kept_side)
 
 
+# Pade coefficients b_0..b_m and the 1-norm bounds theta_m up to which the
+# degree-m approximant is accurate to double precision (Higham 2005, Table 2.3)
+_PADE = {
+    3: (120.0, 60.0, 12.0, 1.0),
+    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
+    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
+    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+         1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+         33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0),
+}
+_THETA = ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1),
+          (7, 9.504178996162932e-1), (9, 2.097847961257068e0))
+_THETA_13 = 5.371920351148152e0
+
+# Each degree as two rows of coefficients over stacked even powers of a.
+# m <= 9: U = a (b1 I + b3 a2 + ...), V = b0 I + b2 a2 + ..., powers (I, a2, a4, ...).
+# m = 13: U = a (a6 (b13 a6 + b11 a4 + b9 a2) + b7 a6 + b5 a4 + b3 a2 + b1 I),
+#         V = a6 (b12 a6 + b10 a4 + b8 a2) + b6 a6 + b4 a4 + b2 a2 + b0 I,
+#         powers (a6, a4, a2, I) and one row per bracket.
+_COEF = {m: np.array([b[1::2], b[0::2]], dtype=complex) for m, b in _PADE.items() if m < 13}
+b = _PADE[13]
+_COEF[13] = np.array([[b[13], b[11], b[9], 0.0], [b[12], b[10], b[8], 0.0],
+                      [b[7], b[5], b[3], b[1]], [b[6], b[4], b[2], b[0]]], dtype=complex)
+del b
+
+
+def _pade(a: np.ndarray, m: int) -> np.ndarray:
+    """Diagonal [m/m] Pade approximant of exp(a): solve (V - U) R = V + U."""
+    n = a.shape[0]
+    coef = _COEF[m]
+    powers = np.empty((coef.shape[1], n, n), dtype=complex)
+    a2 = a @ a
+    if m == 13:
+        powers[2] = a2
+        powers[1] = a2 @ a2
+        powers[0] = powers[1] @ a2
+        powers[3] = np.eye(n)
+        brackets = (coef @ powers.reshape(4, -1)).reshape(2, 2, n, n)
+        u_inner, v = powers[0] @ brackets[0] + brackets[1]
+    else:
+        powers[0] = np.eye(n)
+        powers[1] = a2
+        for j in range(2, len(powers)):
+            powers[j] = powers[j - 1] @ a2
+        u_inner, v = (coef @ powers.reshape(len(powers), -1)).reshape(2, n, n)
+    u = a @ u_inner
+    return np.linalg.solve(v - u, v + u)
+
+
 def mat_exp(a) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring (Pade core via scipy)."""
+    """Matrix exponential by Pade scaling and squaring (Higham 2005).
+
+    The lowest degree m in 3, 5, 7, 9 whose bound covers the 1-norm is used
+    directly; above that, a is scaled by 2^-s into the degree-13 bound and
+    the approximant squared s times.
+    """
     a = _as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix exponential needs a square input, got {a.shape}")
-    return scipy.linalg.expm(a)
+    norm = float(np.abs(a).sum(axis=0).max()) if a.size else 0.0
+    for m, theta in _THETA:
+        if norm <= theta:
+            return _pade(a, m)
+    s = max(0, int(np.ceil(np.log2(norm / _THETA_13))))
+    r = _pade(a / 2.0**s, 13)
+    for _ in range(s):
+        r = r @ r
+    return r
 
 
 def vectorize(a) -> np.ndarray:

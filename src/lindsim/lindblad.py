@@ -44,23 +44,28 @@ class GkslGenerator:
     dim: int
     hamiltonian: np.ndarray
     terms: tuple  # of (jump_op: ndarray, rate: float)
+    # term exponentials exp(dt * term_k) by (k, dt, with_rate), filled by
+    # constituent_channel; sound because the operators above are read-only copies
+    _term_exps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        h = np.asarray(self.hamiltonian, dtype=complex)
+        h = np.array(self.hamiltonian, dtype=complex)
         if h.shape != (self.dim, self.dim):
             raise ValueError(f"Hamiltonian shape {h.shape} != ({self.dim}, {self.dim})")
         if not is_hermitian(h):
             raise ValueError("Hamiltonian is not Hermitian within tolerance")
+        h.setflags(write=False)
         checked = []
         for i, (op, rate) in enumerate(self.terms):
-            op = np.asarray(op, dtype=complex)
+            op = np.array(op, dtype=complex)
             if op.shape != (self.dim, self.dim):
                 raise ValueError(f"jump operator {i} has shape {op.shape}")
             rate = float(rate)
             if rate < 0:
                 raise ValueError(f"jump operator {i} has negative rate {rate}")
+            op.setflags(write=False)
             checked.append((op, rate))
-        object.__setattr__(self, "hamiltonian", h.copy())
+        object.__setattr__(self, "hamiltonian", h)
         object.__setattr__(self, "terms", tuple(checked))
 
     @property
@@ -115,10 +120,20 @@ def exact_channel(gen: GkslGenerator, t: float) -> np.ndarray:
 
 
 def constituent_channel(gen: GkslGenerator, k: int, dt: float, with_rate: bool = True) -> np.ndarray:
-    """Single-term channel exp(dt * term_k); CPTP for dt >= 0."""
+    """Single-term channel exp(dt * term_k); CPTP for dt >= 0.
+
+    Computed once per (k, dt, with_rate) and generator; the returned array is
+    the generator's cached copy and read-only.
+    """
     if dt < 0:
         raise ValueError(f"step length must be nonnegative, got {dt}")
-    return mat_exp(dt * term_superop(gen, k, with_rate=with_rate))
+    key = (k, float(dt), bool(with_rate) or k == 1)  # the Hamiltonian's rate is 1
+    channel = gen._term_exps.get(key)
+    if channel is None:
+        channel = mat_exp(dt * term_superop(gen, k, with_rate=with_rate))
+        channel.setflags(write=False)
+        gen._term_exps[key] = channel
+    return channel
 
 
 def choi(superop: np.ndarray, dim: int | None = None) -> np.ndarray:

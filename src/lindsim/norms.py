@@ -129,7 +129,8 @@ def diamond_norm_solution(superop: np.ndarray) -> SdpSolution:
     sol.dual_objective *= scale
     sol.gap *= scale
     if sol.gap > TOL.sdp_gap_tol:
-        raise SdpConvergenceError("diamond-norm solve left an oversized duality gap", sol.gap)
+        raise SdpConvergenceError("diamond-norm solve left an oversized duality gap", sol.gap,
+                                  sol.iterations, sol.primal_residual)
     return sol
 
 
@@ -209,7 +210,11 @@ def generator_stats(gen: GkslGenerator, gamma_includes_hamiltonian: bool = True)
     scaled = 0.0
     bare = 0.0
     for k in range(1, gen.m_total + 1):
-        norm = diamond_norm(term_superop(gen, k, with_rate=False))
+        try:
+            norm = diamond_norm(term_superop(gen, k, with_rate=False))
+        except SdpConvergenceError as exc:
+            raise SdpConvergenceError(f"diamond norm of term {k} of a d={gen.dim} generator: {exc.reason}",
+                                      exc.gap, exc.iterations, exc.primal_residual) from exc
         bare = max(bare, norm)
         scaled = max(scaled, gen.rate(k) * norm)
     rates = gen.rates

@@ -23,17 +23,30 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 __all__ = ["SdpConvergenceError", "SdpProblem", "SdpSolution", "solve_sdp"]
 
 
 class SdpConvergenceError(RuntimeError):
-    """Solver failed to converge; carries the final duality gap."""
+    """Solver failed to converge; carries the solver state it stopped in.
 
-    def __init__(self, message: str, gap: float):
-        super().__init__(f"{message} (duality gap {gap:.3e})")
+    ``reason`` is the bare message, ``gap`` the last duality gap,
+    ``iterations`` the completed iterations and ``primal_residual`` the last
+    scaled primal residual; the last two are None where unknown.
+    """
+
+    def __init__(self, reason: str, gap: float, iterations: int | None = None,
+                 primal_residual: float | None = None):
+        state = f"duality gap {gap:.3e}"
+        if iterations is not None:
+            state += f", {iterations} iterations"
+        if primal_residual is not None:
+            state += f", primal residual {primal_residual:.3e}"
+        super().__init__(f"{reason} ({state})")
+        self.reason = reason
         self.gap = gap
+        self.iterations = iterations
+        self.primal_residual = primal_residual
 
 
 @dataclass
@@ -69,41 +82,77 @@ def _sym(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().T) / 2
 
 
-def _max_step(x: np.ndarray, dx: np.ndarray) -> float:
-    """Largest alpha with x + alpha*dx >= 0, for Hermitian PD x."""
+def _whitener(x: np.ndarray) -> np.ndarray:
+    """r with r^H x r = I: the inverse of x's Cholesky factor, conjugate-transposed.
+
+    When x is not numerically PD, x is whitened by its spectrum clipped away
+    from zero instead.
+    """
     try:
-        chol = np.linalg.cholesky(x)
-        z = scipy.linalg.solve_triangular(chol, dx, lower=True)
-        y = scipy.linalg.solve_triangular(chol, z.conj().T, lower=True).conj().T
-        lam = float(np.min(np.linalg.eigvalsh(_sym(y))))
+        return np.linalg.inv(np.linalg.cholesky(x)).conj().T
     except np.linalg.LinAlgError:
-        # x is not numerically PD: whiten by its spectrum, clipped away from zero
         w, v = np.linalg.eigh(_sym(x))
         floor = np.finfo(float).eps * max(float(np.max(np.abs(w))), np.finfo(float).tiny)
-        r = v / np.sqrt(np.maximum(w, floor))
-        lam = float(np.min(np.linalg.eigvalsh(_sym(r.conj().T @ dx @ r))))
+        return v / np.sqrt(np.maximum(w, floor))
+
+
+def _max_step(r: np.ndarray, dx: np.ndarray) -> float:
+    """Largest alpha with x + alpha*dx >= 0, for Hermitian PD x with r = _whitener(x)."""
+    lam = float(np.min(np.linalg.eigvalsh(_sym(r.conj().T @ dx @ r))))
     if lam >= -1e-14:
         return np.inf
     return -1.0 / lam
 
 
-def _chol_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Cholesky solve with a jitter ladder, falling back to least squares.
+# After this many iterations with the gap and mu within tolerance but the
+# primal residual above feas_tol and not halving, the solve has stalled: more
+# iterations only repeat the rounding error of the Newton step.
+_STALL_ITERS = 10
 
+_LEAF = 64  # triangular blocks up to this side are solved directly
+
+
+def _lower_solve(low: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with low @ x = b for lower-triangular low: blocked forward substitution.
+
+    The leading block is solved first and its part of b eliminated from the
+    trailing block, recursively; blocks up to _LEAF on a side go to LAPACK.
+    """
+    n = low.shape[0]
+    if n <= _LEAF:
+        return np.linalg.solve(low, b)
+    h = n // 2
+    head = _lower_solve(low[:h, :h], b[:h])
+    tail = _lower_solve(low[h:, h:], b[h:] - low[h:, :h] @ head)
+    return np.concatenate([head, tail])
+
+
+def _chol_factor(mat: np.ndarray):
+    """Cholesky factor of ``mat`` with a jitter ladder, or None if every rung fails.
+
+    The factor is returned with its transpose index-reversed (lower
+    triangular again), so that both substitutions of a solve run forward.
     The ladder starts at the rounding level of ``mat`` and rises tenfold: near
     the optimum the Schur complement is indefinite only by rounding, and any
     larger jitter shows up directly in the primal residual.
     """
-    n = mat.shape[0]
     jitter = 0.0
     scale = max(1.0, float(np.max(np.abs(mat))))
     for _ in range(16):
         try:
-            cf = scipy.linalg.cho_factor(mat + jitter * np.eye(n), lower=True)
-            return scipy.linalg.cho_solve(cf, rhs)
+            low = np.linalg.cholesky(mat + jitter * np.eye(mat.shape[0]) if jitter else mat)
+            return low, np.ascontiguousarray(low.T[::-1, ::-1])
         except np.linalg.LinAlgError:
             jitter = max(jitter * 10.0, np.finfo(float).eps * scale)
-    return np.linalg.lstsq(mat, rhs, rcond=None)[0]
+    return None
+
+
+def _chol_solve(factor, mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve mat x = rhs through ``_chol_factor(mat)``, by least squares without one."""
+    if factor is None:
+        return np.linalg.lstsq(mat, rhs, rcond=None)[0]
+    low, upper_reversed = factor
+    return _lower_solve(upper_reversed, _lower_solve(low, rhs)[::-1])[::-1]
 
 
 def solve_sdp(
@@ -130,7 +179,7 @@ def solve_sdp(
         return out
 
     def apply_at(y):
-        return [np.tensordot(y, a_stacks[b], axes=1) for b in range(nblocks)]
+        return [(y @ a_flat[b]).reshape(sizes[b], sizes[b]) for b in range(nblocks)]
 
     # well-scaled infeasible start on the central ray
     xi_p = max(1.0, float(np.max(np.abs(v))) if m else 1.0)
@@ -144,7 +193,11 @@ def solve_sdp(
 
     pobj = dobj = 0.0
     gap = np.inf
-    rp_norm = rd_norm = np.inf
+    rp_norm = rd_norm = best_rp = np.inf
+    iteration = stalled = 0
+
+    def failure(reason):
+        return SdpConvergenceError(reason, gap, iteration - 1, rp_norm)
 
     try:
         for iteration in range(1, max_iters + 1):
@@ -171,22 +224,33 @@ def solve_sdp(
                     primal_residual=rp_norm,
                     dual_residual=rd_norm,
                 )
+            if gap <= gap_tol and mu * n_total <= gap_tol and rp_norm > feas_tol:
+                if rp_norm < 0.5 * best_rp:
+                    best_rp, stalled = rp_norm, 0
+                else:
+                    stalled += 1
+                    if stalled >= _STALL_ITERS:
+                        raise failure("primal residual stalled above the feasibility tolerance")
 
-            s_inv = []
+            # S^-1 and the whitening of x and S, shared by predictor and corrector
+            r_x = [_whitener(x[b]) for b in range(nblocks)]
+            r_s, s_inv = [], []
             for b in range(nblocks):
                 try:
-                    chol = np.linalg.cholesky(s[b])
-                    inv_l = scipy.linalg.solve_triangular(chol, np.eye(sizes[b], dtype=complex), lower=True)
+                    inv_l = np.linalg.inv(np.linalg.cholesky(s[b]))
+                    r_s.append(inv_l.conj().T)
                     s_inv.append(_sym(inv_l.conj().T @ inv_l))
                 except np.linalg.LinAlgError:
+                    r_s.append(_whitener(s[b]))
                     s_inv.append(_sym(np.linalg.pinv(s[b])))
 
-            # Schur complement M_ij = Re tr(A_i X A_j S^{-1}), shared by both passes
+            # Schur complement M_ij = Re tr(A_i X A_j S^{-1}), factored once for both passes
             schur = np.zeros((m, m))
             for b in range(nblocks):
                 t = np.matmul(np.matmul(x[b][None, :, :], a_stacks[b]), s_inv[b][None, :, :])
                 schur += (a_flat[b].conj() @ t.reshape(m, -1).T).real
             schur = (schur + schur.T) / 2
+            factor = _chol_factor(schur)
 
             def newton(sigma_mu, corr):
                 g = []
@@ -198,7 +262,7 @@ def solve_sdp(
                         gb = gb - corr[b] @ s_inv[b]
                     g.append(gb)
                 rhs = rp - apply_a([_sym(gb) for gb in g])
-                dy = _chol_solve(schur, rhs)
+                dy = _chol_solve(factor, schur, rhs)
                 at_dy = apply_at(dy)
                 ds = [rd[b] - at_dy[b] for b in range(nblocks)]
                 dx = [_sym(g[b] + x[b] @ at_dy[b] @ s_inv[b]) for b in range(nblocks)]
@@ -206,8 +270,8 @@ def solve_sdp(
 
             # predictor
             dx_aff, dy_aff, ds_aff = newton(0.0, None)
-            ap_aff = min(1.0, min(_max_step(x[b], dx_aff[b]) for b in range(nblocks)))
-            ad_aff = min(1.0, min(_max_step(s[b], ds_aff[b]) for b in range(nblocks)))
+            ap_aff = min(1.0, min(_max_step(r_x[b], dx_aff[b]) for b in range(nblocks)))
+            ad_aff = min(1.0, min(_max_step(r_s[b], ds_aff[b]) for b in range(nblocks)))
             mu_aff = sum(
                 np.vdot(x[b] + ap_aff * dx_aff[b], s[b] + ad_aff * ds_aff[b]).real
                 for b in range(nblocks)
@@ -218,16 +282,16 @@ def solve_sdp(
             corr = [dx_aff[b] @ ds_aff[b] for b in range(nblocks)]
             dx, dy, ds = newton(sigma * mu, corr)
 
-            alpha_p = min(1.0, step_fraction * min(_max_step(x[b], dx[b]) for b in range(nblocks)))
-            alpha_d = min(1.0, step_fraction * min(_max_step(s[b], ds[b]) for b in range(nblocks)))
+            alpha_p = min(1.0, step_fraction * min(_max_step(r_x[b], dx[b]) for b in range(nblocks)))
+            alpha_d = min(1.0, step_fraction * min(_max_step(r_s[b], ds[b]) for b in range(nblocks)))
             if max(alpha_p, alpha_d) < 1e-12:
-                raise SdpConvergenceError("interior-point step collapsed", gap)
+                raise failure("interior-point step collapsed")
 
             for b in range(nblocks):
                 x[b] = _sym(x[b] + alpha_p * dx[b])
                 s[b] = _sym(s[b] + alpha_d * ds[b])
             y = y + alpha_d * dy
     except np.linalg.LinAlgError as exc:
-        raise SdpConvergenceError(f"linear algebra failure ({exc})", gap) from exc
+        raise failure(f"linear algebra failure ({exc})") from exc
 
-    raise SdpConvergenceError(f"no convergence within {max_iters} iterations", gap)
+    raise SdpConvergenceError(f"no convergence within {max_iters} iterations", gap, max_iters, rp_norm)

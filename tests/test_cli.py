@@ -162,3 +162,21 @@ def test_simulate_reports_the_sampled_channel(tmp_path, capsys):
     exact = dist(np.linalg.matrix_power(qdrift_exact(gen, float(np.sum(gen.rates)) / 8), 8))
     assert printed == pytest.approx(sampled, rel=2e-3)
     assert printed != pytest.approx(exact, rel=2e-3)
+
+
+def test_cli_imports_no_scipy():
+    # a CLI process loads numpy alone; scipy is a test-only oracle
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import lindsim
+
+    src = str(Path(lindsim.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = ("import sys, lindsim.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=120, check=True)
+    assert out.stdout.strip() == "[]"

@@ -20,7 +20,8 @@ from lindsim.formulas import (
     s2_sigma,
     step_count,
 )
-from lindsim.lindblad import GkslGenerator, constituent_channel, exact_channel, full_liouvillian, is_cptp
+from lindsim.lindblad import (GkslGenerator, constituent_channel, exact_channel, full_liouvillian, is_cptp,
+                              term_superop)
 from lindsim.models import builtin_model
 from lindsim.norms import GeneratorStats, diamond_norm, generator_stats
 
@@ -291,3 +292,30 @@ def test_table1_strings_are_pinned():
     assert GATE_COMPLEXITY[(Method.S1_RAN, Implementation.QF)] == "O((tΛ)^(3/2)M^(5/2)/√(3ε))"
     assert GATE_COMPLEXITY[(Method.QDRIFT, Implementation.QF)] == "O((tΓΩ)²M/ε)"
     assert (Method.S2_RAN, Implementation.QF) not in GATE_COMPLEXITY
+
+
+def test_s2_ran_exact_reuses_term_exponentials(monkeypatch):
+    import lindsim.lindblad as lindblad
+    from lindsim.linalg import mat_exp
+
+    gen = builtin_model("random", dict(d=2, m=6, seed=3))
+    dt = 0.2
+    # the uncached product: every half-step exponential recomputed in place
+    expected = np.zeros((4, 4), dtype=complex)
+    count = 0
+    for sigma in itertools.permutations(range(1, 7)):
+        forward = np.eye(4, dtype=complex)
+        for k in sigma:
+            forward = mat_exp(dt / 2 * term_superop(gen, k)) @ forward
+        backward = np.eye(4, dtype=complex)
+        for k in reversed(sigma):
+            backward = mat_exp(dt / 2 * term_superop(gen, k)) @ backward
+        expected += backward @ forward
+        count += 1
+    expected = expected / count
+
+    calls = []
+    monkeypatch.setattr(lindblad, "mat_exp", lambda a: calls.append(1) or mat_exp(a))
+    got = s2_ran_exact(gen, dt)
+    assert len(calls) <= 2 * gen.m_total
+    assert np.array_equal(got, expected)

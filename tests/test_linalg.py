@@ -119,6 +119,61 @@ def test_mat_exp_accuracy_at_large_norm():
     assert np.max(np.abs(got - oracle)) / np.linalg.norm(oracle, 2) < 1e-12
 
 
+MODEL_LIBRARY = [
+    ("amp_damp", {}),
+    ("qubit3", {}),
+    ("two_qubit_xy", {}),
+    ("random", dict(d=2, m=3, seed=0)),
+    ("random", dict(d=3, m=4, seed=1)),
+    ("random", dict(d=4, m=3, seed=2)),
+]
+
+
+def _rel_err(got, ref):
+    return np.linalg.norm(got - ref, 2) / np.linalg.norm(ref, 2)
+
+
+@pytest.mark.parametrize("name,params", MODEL_LIBRARY)
+def test_mat_exp_matches_scipy_on_model_library(name, params):
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    from lindsim.lindblad import full_liouvillian, term_superop
+    from lindsim.models import builtin_model
+    from lindsim.tolerances import TOL
+
+    gen = builtin_model(name, params)
+    generators = [full_liouvillian(gen)] + [term_superop(gen, k, with_rate=w)
+                                            for k in range(1, gen.m_total + 1) for w in (True, False)]
+    for a in generators:
+        for t in (1e-3, 1 / 64, 0.25, 1.0, 4.0, 20.0):
+            assert _rel_err(mat_exp(t * a), scipy_linalg.expm(t * a)) <= TOL.mat_exp_rtol
+
+
+def test_mat_exp_degree_thresholds(monkeypatch):
+    # just below each bound theta_m the degree-m approximant is used, just above
+    # it the next degree (above theta_13: degree 13 on the halved input)
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    from lindsim import linalg
+    from lindsim.lindblad import full_liouvillian
+    from lindsim.models import builtin_model
+    from lindsim.tolerances import TOL
+
+    degrees = []
+    pade = linalg._pade
+    monkeypatch.setattr(linalg, "_pade", lambda a, m: degrees.append(m) or pade(a, m))
+    rng = np.random.default_rng(12)
+    shapes = [random_matrix(rng, 6), full_liouvillian(builtin_model("random", dict(d=2, m=3, seed=4)))]
+    bounds = [*linalg._THETA, (13, linalg._THETA_13)]
+    for i, (m, theta) in enumerate(bounds):
+        above = bounds[i + 1][0] if m < 13 else 13
+        for a in shapes:
+            unit = a / np.abs(a).sum(axis=0).max()
+            for factor, degree in ((1 - 1e-6, m), (1 + 1e-6, above)):
+                degrees.clear()
+                got = mat_exp(factor * theta * unit)
+                assert degrees == [degree]
+                assert _rel_err(got, scipy_linalg.expm(factor * theta * unit)) <= TOL.mat_exp_rtol
+
+
 def test_mat_exp_rejects_non_square():
     with pytest.raises(ValueError, match="square"):
         mat_exp(np.ones((2, 3)))

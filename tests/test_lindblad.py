@@ -249,3 +249,29 @@ def test_parse_generator_round_trip():
 def test_parse_generator_positional_errors(text, message):
     with pytest.raises(GeneratorFormatError, match=message):
         parse_generator(text)
+
+
+def test_constituent_channel_cached_per_generator():
+    gen = builtin_model("random", dict(d=2, m=3, seed=5))
+    first = constituent_channel(gen, 2, 0.3)
+    assert not first.flags.writeable
+    assert constituent_channel(gen, 2, 0.3) is first
+    assert np.array_equal(first, mat_exp(0.3 * term_superop(gen, 2)))
+    bare = constituent_channel(gen, 2, 0.3, with_rate=False)
+    assert np.array_equal(bare, mat_exp(0.3 * term_superop(gen, 2, with_rate=False)))
+    assert not np.array_equal(bare, first)
+    # the Hamiltonian's rate is 1, so its rate-free channel is the same map
+    assert constituent_channel(gen, 1, 0.3, with_rate=False) is constituent_channel(gen, 1, 0.3)
+    # another generator with equal data keeps its own cache
+    twin = builtin_model("random", dict(d=2, m=3, seed=5))
+    assert constituent_channel(twin, 2, 0.3) is not first
+
+
+def test_generator_data_is_read_only_copy():
+    h = np.diag([0.5, -0.5]).astype(complex)
+    op = SM.copy()
+    gen = GkslGenerator(dim=2, hamiltonian=h, terms=((op, 1.0),))
+    assert not gen.hamiltonian.flags.writeable and not gen.terms[0][0].flags.writeable
+    assert h.flags.writeable and op.flags.writeable
+    op[0, 1] = 2.0
+    assert gen.terms[0][0][0, 1] == 1.0

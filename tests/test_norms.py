@@ -313,3 +313,33 @@ def test_qudit_dissipator_converges_in_few_iterations():
     sol = diamond_norm_solution(term_superop(gen, 2, with_rate=True))
     assert sol.gap <= TOL.sdp_gap_tol
     assert sol.iterations <= 50
+
+
+def test_qudit_term_with_stalling_residual_ends_early():
+    # this solve once ran into the 500-iteration cap with a converged gap and
+    # a primal residual stuck between 1e-9 and 5e-8
+    gen = builtin_model("random", dict(d=4, m=4, seed=3))
+    try:
+        sol = diamond_norm_solution(term_superop(gen, 4, with_rate=True))
+    except SdpConvergenceError as exc:
+        assert exc.iterations <= 60
+        return
+    assert sol.gap <= TOL.sdp_gap_tol
+    assert sol.iterations <= 60
+
+
+def test_generator_stats_failure_names_term_and_dimension(monkeypatch):
+    gen = builtin_model("random", dict(d=3, m=3, seed=2))
+
+    def failing_on_term_2(superop):
+        if np.allclose(superop, term_superop(gen, 2, with_rate=False)):
+            raise SdpConvergenceError("interior-point step collapsed", 2e-5, 37, 4e-8)
+        return 1.0
+
+    monkeypatch.setattr("lindsim.norms.diamond_norm", failing_on_term_2)
+    with pytest.raises(SdpConvergenceError) as err:
+        generator_stats(gen)
+    message = str(err.value)
+    assert "term 2" in message and "d=3" in message and "step collapsed" in message
+    assert "37 iterations" in message and "primal residual 4.000e-08" in message
+    assert (err.value.gap, err.value.iterations, err.value.primal_residual) == (2e-5, 37, 4e-8)

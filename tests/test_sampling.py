@@ -240,3 +240,22 @@ def test_schedules_follow_the_documented_stream(gen):
     cdf = np.cumsum(gen.rates / np.sum(gen.rates))
     assert [s.k for s in qd.steps] == [min(1 + int(np.searchsorted(cdf, u, side="right")), m)
                                        for u in uniforms(1)[:, 0]]
+
+
+@pytest.mark.parametrize("method", SAMPLED)
+def test_trajectory_batches_share_term_exponentials(method, monkeypatch):
+    # the step-channel table of every batch reads the generator's term
+    # exponentials, computed once: batches beyond the first add no expm
+    import lindsim.lindblad as lindblad
+    from lindsim.linalg import mat_exp
+
+    g = builtin_model("random", dict(d=2, m=3, seed=9))
+    calls = []
+    monkeypatch.setattr(lindblad, "mat_exp", lambda a: calls.append(1) or mat_exp(a))
+    first = trajectory_channels(method, g, 1.0, 6, 4, range(0, 8))
+    after_first = len(calls)
+    assert 0 < after_first <= g.m_total
+    rest = [trajectory_channels(method, g, 1.0, 6, 4, range(lo, lo + 8)) for lo in range(8, 64, 8)]
+    assert len(calls) == after_first
+    whole = trajectory_channels(method, g, 1.0, 6, 4, range(64))
+    assert np.max(np.abs(np.concatenate([first] + rest) - whole)) <= 1e-12
