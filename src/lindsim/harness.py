@@ -47,7 +47,7 @@ from .models import builtin_model
 from .norms import (
     GeneratorStats,
     diamond_norm,
-    diamond_norm_solution,
+    diamond_norm_solutions,
     generator_stats,
     power_contraction_check,
     sampled_diamond_lower_bound,
@@ -252,20 +252,36 @@ def sweep_point_channel(spec: ExperimentSpec, gen: GkslGenerator, stats: Generat
 
     In sampled mode the channel is the mean over ``spec.trajectories``
     schedules, and stat_err is the standard error of the diamond-norm errors
-    of the contiguous batch means; otherwise it is the exact mixture power.
+    of the contiguous batch means, certified in one batch; otherwise it is
+    the exact mixture power.
     """
     if spec.sampled and method in SAMPLED_METHODS:
         batches = trajectory_batches(spec.trajectories)
         sums = [trajectory_channels(method, gen, spec.t, n, spec.seed, b).sum(axis=0)
                 for b in batches]
-        eps_batches = [diamond_norm(t_exact - s / len(b)) for s, b in zip(sums, batches)]
+        solved = diamond_norm_solutions([t_exact - s / len(b) for s, b in zip(sums, batches)])
+        for sol in solved:
+            if isinstance(sol, Exception):
+                raise sol
+        eps_batches = [sol.value for sol in solved]
         return sum(sums) / spec.trajectories, _batch_standard_error(eps_batches)
     step = approximation_step_channel(method, gen, spec.t, n, stats.total_rate)
     return np.linalg.matrix_power(step, n), None
 
 
+def _error_record(method: Method, n: int, exc: Exception) -> SweepRecord:
+    return SweepRecord(method=method, n=n, epsilon_bound=float("nan"),
+                       epsilon_empirical=float("nan"), trace_dist=float("nan"), gates_cs=0,
+                       gates_qf=None, status=f"error: {method.value} N={n}: {exc}", wall_time_ms=0)
+
+
 def run_sweep(spec: ExperimentSpec, write_files: bool = True):
-    """Run every method over the grid; returns records and writes the CSV."""
+    """Run every method over the grid; returns records and writes the CSV.
+
+    The channels of all points come first; then the errors of all points are
+    certified in one batch.  A point's ``wall_time_ms`` is its own channel
+    time plus an equal share of that batch's solve time.
+    """
     gen = resolve_model(spec)
     stats = generator_stats(gen)
     t_exact = exact_channel(gen, spec.t)
@@ -283,19 +299,18 @@ def run_sweep(spec: ExperimentSpec, write_files: bool = True):
                 points.append((method, step_count(method, stats, spec.t, eps,
                                                   conservative=spec.conservative).n_steps))
 
-    def run_point(point):
-        method, n = point
+    records, seconds, errors = [], [], []
+    for method, n in points:
         start = time.perf_counter()
         try:
             bound = error_bound(method, stats, spec.t, n, conservative=spec.conservative)
             total, stat_err = sweep_point_channel(spec, gen, stats, method, n, t_exact)
-            eps_emp = diamond_norm(t_exact - total)
             rho_approx = devectorize(total @ vectorize(rho0.matrix))
             record = SweepRecord(
                 method=method,
                 n=n,
                 epsilon_bound=bound,
-                epsilon_empirical=eps_emp,
+                epsilon_empirical=float("nan"),
                 trace_dist=trace_distance(rho_t, rho_approx),
                 gates_cs=gate_count(method, stats.term_count, n, Implementation.CS),
                 gates_qf=(gate_count(method, stats.term_count, n, Implementation.QF)
@@ -304,16 +319,24 @@ def run_sweep(spec: ExperimentSpec, write_files: bool = True):
                 wall_time_ms=0,
                 stat_err=stat_err,
             )
+            errors.append(t_exact - total)
         except Exception as exc:  # recorded, run continues
-            record = SweepRecord(
-                method=method, n=n, epsilon_bound=float("nan"),
-                epsilon_empirical=float("nan"), trace_dist=float("nan"),
-                gates_cs=0, gates_qf=None, status=f"error: {exc}", wall_time_ms=0,
-            )
-        record.wall_time_ms = int(round(1000 * (time.perf_counter() - start)))
-        return record
+            record = _error_record(method, n, exc)
+        records.append(record)
+        seconds.append(time.perf_counter() - start)
 
-    records = [run_point(p) for p in points]
+    start = time.perf_counter()
+    solved = iter(diamond_norm_solutions(errors))
+    share = (time.perf_counter() - start) / max(1, len(errors))
+    for i, record in enumerate(records):
+        if record.status == "ok":
+            sol = next(solved)
+            seconds[i] += share
+            if isinstance(sol, Exception):
+                records[i] = _error_record(record.method, record.n, sol)
+            else:
+                record.epsilon_empirical = sol.value
+        records[i].wall_time_ms = int(round(1000 * seconds[i]))
 
     if write_files:
         os.makedirs(spec.outputs, exist_ok=True)
@@ -441,44 +464,39 @@ def _restricted_sum_enumeration(m: int, p: int, x: float) -> float:
 
 
 def _checks_norms(seed: int):
-    out = []
     rng = np.random.default_rng(seed)
-    sol = diamond_norm_solution(exact_channel(builtin_model("amp_damp"), 0.7))
-    out.append(CheckResult("norms", "cptp_channel_norm_one",
-                           abs(sol.value - 1.0) <= TOL.diamond_abs_tol,
-                           f"value={sol.value:.9f} gap={sol.gap:.2e}"))
-    zero = diamond_norm(np.zeros((4, 4)))
-    out.append(CheckResult("norms", "zero_map", zero <= TOL.diamond_abs_tol, f"value={zero:.2e}"))
     u = np.diag([1.0, np.exp(1j * np.pi / 2)])
-    pair = diamond_norm(np.eye(4) - np.kron(u.conj(), u))
-    out.append(CheckResult("norms", "unitary_pair_sqrt2",
-                           abs(pair - math.sqrt(2)) <= TOL.diamond_abs_tol,
-                           f"value={pair:.9f}"))
-
-    hp = term_superop(builtin_model("qubit3"), 2, with_rate=True)
-    base = diamond_norm(hp)
-    homog = abs(diamond_norm(2.0 * hp) - 2.0 * base) <= 1e-6
-    other = term_superop(builtin_model("qubit3"), 3, with_rate=True)
-    subadd = diamond_norm(hp + other) <= diamond_norm(hp) + diamond_norm(other) + 1e-6
-    out.append(CheckResult("norms", "homogeneity_subadditivity", homog and subadd,
-                           f"homogeneous={homog} subadditive={subadd}"))
-
-    chan = _random_channel(rng)
-    val = diamond_norm(chan - np.eye(4))
-    lower = sampled_diamond_lower_bound(chan - np.eye(4), n_samples=50,
-                                        seed=int(rng.integers(0, 2**31)))
-    out.append(CheckResult("norms", "dominates_sampled_inputs", val >= lower - 1e-6,
-                           f"sdp={val:.6f} best_sample={lower:.6f}"))
-
-    ok = True
-    details = []
-    for name, gen in _model_library():
-        stats = generator_stats(gen)
-        lnorm = diamond_norm(full_liouvillian(gen))
-        ok = ok and lnorm <= stats.term_count * stats.max_scaled_norm + 1e-6
-        details.append(f"{name}:{lnorm:.3f}<={stats.term_count * stats.max_scaled_norm:.3f}")
-    out.append(CheckResult("norms", "generator_norm_bound", ok, " ".join(details)))
-    return out
+    hp, other = (term_superop(builtin_model("qubit3"), k, with_rate=True) for k in (2, 3))
+    diff = _random_channel(rng) - np.eye(4)
+    library = _model_library()
+    solved = diamond_norm_solutions(
+        [exact_channel(builtin_model("amp_damp"), 0.7), np.zeros((4, 4)),
+         np.eye(4) - np.kron(u.conj(), u), hp, 2.0 * hp, other, hp + other, diff]
+        + [full_liouvillian(gen) for _, gen in library])
+    for sol in solved:
+        if isinstance(sol, Exception):
+            raise sol
+    sol = solved[0]
+    zero, pair, base, double, other_norm, both, val, *lnorms = [s.value for s in solved[1:]]
+    homog = abs(double - 2.0 * base) <= 1e-6
+    subadd = both <= base + other_norm + 1e-6
+    lower = sampled_diamond_lower_bound(diff, n_samples=50, seed=int(rng.integers(0, 2**31)))
+    bounds = [(name, lnorm, generator_stats(gen)) for (name, gen), lnorm in zip(library, lnorms)]
+    return [
+        CheckResult("norms", "cptp_channel_norm_one", abs(sol.value - 1.0) <= TOL.diamond_abs_tol,
+                    f"value={sol.value:.9f} gap={sol.gap:.2e}"),
+        CheckResult("norms", "zero_map", zero <= TOL.diamond_abs_tol, f"value={zero:.2e}"),
+        CheckResult("norms", "unitary_pair_sqrt2", abs(pair - math.sqrt(2)) <= TOL.diamond_abs_tol,
+                    f"value={pair:.9f}"),
+        CheckResult("norms", "homogeneity_subadditivity", homog and subadd,
+                    f"homogeneous={homog} subadditive={subadd}"),
+        CheckResult("norms", "dominates_sampled_inputs", val >= lower - 1e-6,
+                    f"sdp={val:.6f} best_sample={lower:.6f}"),
+        CheckResult("norms", "generator_norm_bound",
+                    all(lnorm <= st.term_count * st.max_scaled_norm + 1e-6 for _, lnorm, st in bounds),
+                    " ".join(f"{name}:{lnorm:.3f}<={st.term_count * st.max_scaled_norm:.3f}"
+                             for name, lnorm, st in bounds)),
+    ]
 
 
 def _checks_cptp(seed: int):
@@ -541,8 +559,7 @@ def _checks_identities(seed: int):
     for _ in range(20):
         t_chan = _random_channel(rng)
         v_chan = _random_channel(rng)
-        for n in (2, 4, 8):
-            ok = ok and power_contraction_check(t_chan, v_chan, n)
+        ok = ok and all(power_contraction_check(t_chan, v_chan, (2, 4, 8)))
     out.append(CheckResult("identities", "power_difference_contraction", ok, "20 channel pairs, N in {2,4,8}"))
 
     ok = True

@@ -1,30 +1,35 @@
-"""A small dense primal-dual interior-point solver for Hermitian SDPs.
+"""Nesterov-Todd interior-point solver for Watrous' diamond-norm program.
 
-Solves block-diagonal semidefinite programs in standard form,
+For the Hermitian d^2 x d^2 Choi matrix J of a Hermiticity-preserving map
+(Watrous, arXiv:1207.5726; the input factor comes first in every kron):
 
-    (P)  minimize    sum_b <C_b, X_b>
-         subject to  sum_b tr(A_{i,b} X_b) = v_i   (i = 1..m),   X_b >= 0
+    (P)  minimize mu   subject to  P - Q = J,  H = mu I - Tr_out(P + Q),  P, Q, H, mu >= 0
+    (D)  maximize <J, Y>  subject to  -Y - Z (x) I,  Y - Z (x) I,  -Z,  1 + tr Z  >= 0.
 
-    (D)  maximize    v . y
-         subject to  C_b - sum_i y_i A_{i,b} = S_b >= 0,
+The constraints are written in orthonormal Hermitian coordinates: d^4 rows
+pin P - Q to J and d^2 rows define H, so y holds the coordinates of (Y, Z).
+The method is infeasible-start path following with the Nesterov-Todd
+direction (Todd, Toh and Tuetuencue, SIAM J. Optim. 8, 1998) and a Mehrotra
+predictor-corrector step.  Its Schur complement M_ij = sum_b Re tr(A_i W_b
+A_j W_b) is built from the program's structure: the equality rows see
+W_P Z W_P + W_Q Z W_Q, whose coordinates are products W[i, k] W[l, j]
+gathered over diagonal and off-diagonal index pairs, and the slack rows see
+the d^2 lifted basis matrices b (x) I.  That is d^8 work per iteration.
 
-over complex Hermitian blocks, with <A, B> = tr(A B).  The implementation is
-an infeasible-start path-following method with the HKM search direction and a
-Mehrotra predictor-corrector step.  It is meant for the small dense problems
-this package produces (block sides <= ~128, a few hundred constraints), not
-as a general-purpose solver.
-
-On success both the primal and dual objectives are reported; their distance
-is the duality gap that certifies the returned value.
+``solve_diamond`` solves a stack of problems of one d in lockstep on stacked
+arrays, so numpy's per-call overhead is paid once per batch.  Each problem
+keeps its own stopping tests and leaves the batch when it converges or
+fails; a failure becomes that problem's ``SdpConvergenceError`` only.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["SdpConvergenceError", "SdpProblem", "SdpSolution", "solve_sdp"]
+__all__ = ["SdpConvergenceError", "SdpSolution", "batch_size", "solve_diamond"]
 
 
 class SdpConvergenceError(RuntimeError):
@@ -50,23 +55,9 @@ class SdpConvergenceError(RuntimeError):
 
 
 @dataclass
-class SdpProblem:
-    """Problem data.
-
-    ``constraints[b]`` has shape (m, n_b, n_b): the b-th block of every
-    constraint matrix.  ``objective[b]`` is the (n_b, n_b) block of C and
-    ``rhs`` the length-m vector v.  All constraint/objective blocks must be
-    Hermitian and the rhs real.
-    """
-
-    block_sizes: list
-    constraints: list
-    objective: list
-    rhs: np.ndarray
-
-
-@dataclass
 class SdpSolution:
+    """A certified solve: ``primal_blocks`` are [P, Q, H, [[mu]]], ``dual_y`` is y."""
+
     value: float
     primal_objective: float
     dual_objective: float
@@ -78,220 +69,358 @@ class SdpSolution:
     dual_residual: float
 
 
-def _sym(a: np.ndarray) -> np.ndarray:
-    return (a + a.conj().T) / 2
-
-
-def _whitener(x: np.ndarray) -> np.ndarray:
-    """r with r^H x r = I: the inverse of x's Cholesky factor, conjugate-transposed.
-
-    When x is not numerically PD, x is whitened by its spectrum clipped away
-    from zero instead.
-    """
-    try:
-        return np.linalg.inv(np.linalg.cholesky(x)).conj().T
-    except np.linalg.LinAlgError:
-        w, v = np.linalg.eigh(_sym(x))
-        floor = np.finfo(float).eps * max(float(np.max(np.abs(w))), np.finfo(float).tiny)
-        return v / np.sqrt(np.maximum(w, floor))
-
-
-def _max_step(r: np.ndarray, dx: np.ndarray) -> float:
-    """Largest alpha with x + alpha*dx >= 0, for Hermitian PD x with r = _whitener(x)."""
-    lam = float(np.min(np.linalg.eigvalsh(_sym(r.conj().T @ dx @ r))))
-    if lam >= -1e-14:
-        return np.inf
-    return -1.0 / lam
-
+# Byte budget of one lockstep batch's Schur workspace: the Schur complements,
+# their factors and the gathered products that build them, measured at about
+# four real m x m arrays per problem (m = d^4 + d^2).  That makes a batch of
+# every problem at d = 2, 4 at d = 3 and 1 at d >= 4, where a solve is
+# arithmetic-bound and batching saves nothing.
+_BATCH_BYTES = 1 << 20
 
 # After this many iterations with the gap and mu within tolerance but the
 # primal residual above feas_tol and not halving, the solve has stalled: more
 # iterations only repeat the rounding error of the Newton step.
 _STALL_ITERS = 10
 
+_STEP_FRACTION = 0.98  # of the way to the boundary of the cone
 _LEAF = 64  # triangular blocks up to this side are solved directly
+_SQRT2 = np.sqrt(2.0)
+
+
+def batch_size(d: int) -> int:
+    """Problems of dimension d solved in one lockstep batch."""
+    return max(1, _BATCH_BYTES // (32 * (d**4 + d**2) ** 2))
+
+
+@functools.lru_cache(maxsize=None)
+def _pairs(side: int):
+    """Row and column indices of the strict upper triangle, row-major (cached, read-only)."""
+    pairs = np.triu_indices(side, 1)
+    for a in pairs:
+        a.flags.writeable = False
+    return pairs
+
+
+def _coords(z: np.ndarray) -> np.ndarray:
+    """Orthonormal coordinates of a stack of Hermitian matrices: the diagonal,
+    then sqrt(2) Re and sqrt(2) Im of the strict upper triangle."""
+    up = _SQRT2 * z[(..., *_pairs(z.shape[-1]))]
+    return np.concatenate([np.diagonal(z, axis1=-2, axis2=-1).real, up.real, up.imag], axis=-1)
+
+
+def _herm(c: np.ndarray, side: int) -> np.ndarray:
+    """The Hermitian matrices with coordinates c (inverse of ``_coords``)."""
+    iu, ju = _pairs(side)
+    z = np.zeros(c.shape[:-1] + (side, side), dtype=complex)
+    z[..., range(side), range(side)] = c[..., :side]
+    up = (c[..., side:side + iu.size] + 1j * c[..., side + iu.size:]) / _SQRT2
+    z[..., iu, ju] = up
+    z[..., ju, iu] = up.conj()
+    return z
+
+
+def _dag(a: np.ndarray) -> np.ndarray:
+    return a.conj().swapaxes(-1, -2)
+
+
+def _sym(a: np.ndarray) -> np.ndarray:
+    return (a + _dag(a)) / 2
+
+
+def _tr_out(z: np.ndarray, d: int) -> np.ndarray:
+    """Partial trace over the second factor of a stack of d^2-sided matrices."""
+    return np.trace(z.reshape(z.shape[:-2] + (d, d, d, d)), axis1=-3, axis2=-1)
+
+
+def _lift(z: np.ndarray, d: int) -> np.ndarray:
+    """kron(z, I_d) for a stack of d-sided matrices."""
+    return (z[..., :, None, :, None] * np.eye(d)[:, None, :]).reshape(z.shape[:-2] + (d * d, d * d))
+
+
+@functools.lru_cache(maxsize=None)
+def _slack_basis(d: int):
+    """A Hermitian basis b of the slack rows, (d^2, d, d), and b (x) I (cached, read-only)."""
+    basis = _herm(np.eye(d * d), d)
+    pair = (basis, _lift(basis, d))
+    for a in pair:
+        a.flags.writeable = False
+    return pair
+
+
+def _sides(d: int) -> int:
+    """Sum of the block sides, 2 d^2 + d + 1."""
+    return 2 * d * d + d + 1
+
+
+def _apply_a(x) -> np.ndarray:
+    """Constraint values of primal blocks x = [PQ (B, 2, n, n), H (B, d, d), mu (B, 1, 1)]."""
+    pq, h, mu = x
+    d = h.shape[-1]
+    slack = _tr_out(pq[:, 0] + pq[:, 1], d) + h - mu * np.eye(d)
+    return np.concatenate([_coords(pq[:, 0] - pq[:, 1]), _coords(slack)], axis=-1)
+
+
+def _apply_at(y: np.ndarray, d: int) -> list:
+    """Adjoint of ``_apply_a``: the blocks of sum_i y_i A_i."""
+    big, z = _herm(y[:, :d**4], d * d), _herm(y[:, d**4:], d)
+    lifted = _lift(z, d)
+    return [np.stack([big + lifted, lifted - big], axis=1), z, -np.trace(z, axis1=1, axis2=2)[:, None, None]]
+
+
+def _schur(w) -> np.ndarray:
+    """Schur complements M_ij = sum_b Re tr(A_i W_b A_j W_b) of a batch."""
+    w_pq, w_h, w_mu = w
+    d = w_h.shape[-1]
+    n, m_eq = d * d, d**4
+    iu, ju = _pairs(n)
+    basis, lifted = _slack_basis(d)
+    schur = np.empty((len(w_pq), m_eq + n, m_eq + n))
+
+    # equality rows: coordinates of W Z W over the (diagonal, Re, Im) index sets
+    dg, re, im = slice(0, n), slice(n, n + iu.size), slice(n + iu.size, m_eq)
+    w_conj = w_pq.conj()
+    schur[:, dg, dg] = (w_pq.real**2 + w_pq.imag**2).sum(axis=1)
+    r = np.einsum("bqik,bqik->bik", w_pq[..., :, iu], w_conj[..., :, ju])
+    schur[:, dg, re], schur[:, dg, im] = _SQRT2 * r.real, -_SQRT2 * r.imag
+    schur[:, re, dg], schur[:, im, dg] = schur[:, dg, re].swapaxes(1, 2), schur[:, dg, im].swapaxes(1, 2)
+    x1 = x2 = 0.0
+    for q in range(2):  # P, then Q: one block's gathers at a time
+        x1 = x1 + w_pq[:, q, iu[:, None], iu] * w_conj[:, q, ju[:, None], ju]
+        guv = w_pq[:, q, iu[:, None], ju]
+        x2 = x2 + guv * guv.swapaxes(1, 2)
+    schur[:, re, re], schur[:, re, im] = x1.real + x2.real, x2.imag - x1.imag
+    schur[:, im, re], schur[:, im, im] = x1.imag + x2.imag, x1.real - x2.real
+    del x1, x2, guv
+
+    # slack rows: the lifted basis b (x) I through each block
+    wlw = w_pq[:, :, None] @ lifted @ w_pq[:, :, None]
+    schur[:, m_eq:, :m_eq] = _coords(wlw[:, 0] - wlw[:, 1])
+    schur[:, :m_eq, m_eq:] = schur[:, m_eq:, :m_eq].swapaxes(1, 2)
+    slack = _tr_out(wlw[:, 0] + wlw[:, 1], d) + w_h[:, None] @ basis @ w_h[:, None]
+    slack += (w_mu**2)[:, None] * np.trace(basis, axis1=1, axis2=2)[:, None, None] * np.eye(d)
+    slack = _coords(slack)
+    schur[:, m_eq:, m_eq:] = (slack + slack.swapaxes(1, 2)) / 2
+    return schur
+
+
+def _cholesky(stack: np.ndarray, fallback) -> np.ndarray:
+    """Cholesky factors of a stack; an item whose factorization fails gets fallback(item)."""
+    try:
+        return np.linalg.cholesky(stack)
+    except np.linalg.LinAlgError:
+        out = np.empty_like(stack)
+    for idx in np.ndindex(stack.shape[:-2]):
+        try:
+            out[idx] = np.linalg.cholesky(stack[idx])
+        except np.linalg.LinAlgError:
+            out[idx] = fallback(stack[idx])
+    return out
+
+
+def _clipped_root(x: np.ndarray) -> np.ndarray:
+    """l with l l^H = x with the spectrum of x clipped away from zero, for x not numerically PD."""
+    w, v = np.linalg.eigh(_sym(x))
+    return v * np.sqrt(np.maximum(w, np.finfo(float).eps * max(np.max(np.abs(w)), np.finfo(float).tiny)))
+
+
+def _jittered(mat: np.ndarray) -> np.ndarray:
+    """Cholesky factor of a Schur complement on a jitter ladder.
+
+    The ladder starts at the rounding level of ``mat`` and rises tenfold:
+    near the optimum the Schur complement is indefinite only by rounding, and
+    any larger jitter shows up directly in the primal residual.
+    """
+    jitter = np.finfo(float).eps * max(1.0, float(np.max(np.abs(mat))))
+    for _ in range(15):
+        try:
+            return np.linalg.cholesky(mat + jitter * np.eye(len(mat)))
+        except np.linalg.LinAlgError:
+            jitter *= 10.0
+    raise np.linalg.LinAlgError("Schur complement is not positive definite")
+
+
+def _nt_scaling(x: np.ndarray, s: np.ndarray):
+    """G, G^-1 and d with G^-1 x G^-H = G^H s G = diag(d), so W = G G^H solves W s W = x."""
+    lx, ls = _cholesky(x, _clipped_root), _cholesky(s, _clipped_root)
+    u, sv, vh = np.linalg.svd(_dag(ls) @ lx)
+    root = 1.0 / np.sqrt(sv)
+    return (lx @ _dag(vh)) * root[..., None, :], root[..., :, None] * (_dag(u) @ _dag(ls)), sv
 
 
 def _lower_solve(low: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x with low @ x = b for lower-triangular low: blocked forward substitution.
-
-    The leading block is solved first and its part of b eliminated from the
-    trailing block, recursively; blocks up to _LEAF on a side go to LAPACK.
-    """
-    n = low.shape[0]
+    """x with low @ x = b for a stack of lower-triangular low: blocked forward
+    substitution, with blocks up to _LEAF on a side solved by LAPACK."""
+    n = low.shape[-1]
     if n <= _LEAF:
         return np.linalg.solve(low, b)
     h = n // 2
-    head = _lower_solve(low[:h, :h], b[:h])
-    tail = _lower_solve(low[h:, h:], b[h:] - low[h:, :h] @ head)
-    return np.concatenate([head, tail])
+    head = _lower_solve(low[:, :h, :h], b[:, :h])
+    return np.concatenate([head, _lower_solve(low[:, h:, h:], b[:, h:] - low[:, h:, :h] @ head)], axis=1)
 
 
-def _chol_factor(mat: np.ndarray):
-    """Cholesky factor of ``mat`` with a jitter ladder, or None if every rung fails.
+def _solve(low: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """x with low low^T x = rhs; low^T index-reversed is lower triangular again."""
+    half = _lower_solve(low, rhs[:, :, None])
+    return _lower_solve(low.swapaxes(1, 2)[:, ::-1, ::-1], half[:, ::-1])[:, ::-1, 0]
 
-    The factor is returned with its transpose index-reversed (lower
-    triangular again), so that both substitutions of a solve run forward.
-    The ladder starts at the rounding level of ``mat`` and rises tenfold: near
-    the optimum the Schur complement is indefinite only by rounding, and any
-    larger jitter shows up directly in the primal residual.
-    """
-    jitter = 0.0
-    scale = max(1.0, float(np.max(np.abs(mat))))
-    for _ in range(16):
+
+def _per_item(a: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """A per-item vector shaped to broadcast against a stacked block."""
+    return a.reshape(a.shape + (1,) * (like.ndim - 1))
+
+
+def _max_step(scaled: np.ndarray, dvals: np.ndarray) -> np.ndarray:
+    """Per item, the largest alpha with diag(d) + alpha * scaled >= 0 (inf if none)."""
+    root = 1.0 / np.sqrt(dvals)
+    lam = np.linalg.eigvalsh(_sym(scaled * root[..., :, None] * root[..., None, :]))
+    lam = lam.reshape(len(lam), -1).min(axis=1)
+    with np.errstate(divide="ignore"):
+        return np.where(lam >= -1e-14, np.inf, -1.0 / lam)
+
+
+def _inner(a, b) -> np.ndarray:
+    """Per item, the sum over blocks of Re tr(a_b b_b)."""
+    return sum((ab.conj() * bb).real.reshape(len(ab), -1).sum(axis=1) for ab, bb in zip(a, b))
+
+
+def _residuals(st: dict) -> None:
+    """Store the residuals, mu and objectives of the current iterates in st."""
+    x, s, y, v = st["x"], st["s"], st["y"], st["v"]
+    d = x[1].shape[-1]
+    st["rd"] = rd = [-sb - ab for sb, ab in zip(s, _apply_at(y, d))]
+    rd[2] = rd[2] + 1.0  # C selects mu
+    st["rp"] = v - _apply_a(x)
+    st["mu"] = _inner(x, s) / _sides(d)
+    st["pobj"], st["dobj"] = x[2][:, 0, 0].real, np.einsum("bi,bi->b", v, y)
+    st["gap"] = np.abs(st["pobj"] - st["dobj"])
+    st["rp_norm"] = np.linalg.norm(st["rp"], axis=1) / (1.0 + np.linalg.norm(v, axis=1))
+    st["rd_norm"] = np.sqrt(_inner(rd, rd)) / 2.0  # over 1 + |C|
+
+
+def _iterate(st: dict):
+    """One predictor-corrector step of every problem in the batch; returns the
+    new iterates and each problem's larger step length."""
+    x, s, rd, rp, mu = st["x"], st["s"], st["rd"], st["rp"], st["mu"]
+    d = x[1].shape[-1]
+    scaling = [_nt_scaling(xb, sb) for xb, sb in zip(x, s)]
+    w = [g @ _dag(g) for g, _, _ in scaling]
+    low = _cholesky(_schur(w), _jittered)  # once, for both Newton solves
+    w_rd_w = [wb @ rdb @ wb for wb, rdb in zip(w, rd)]
+
+    def newton(rc):
+        dy = _solve(low, rp - _apply_a([_sym(rcb - wrw) for rcb, wrw in zip(rc, w_rd_w)]))
+        ds = [rdb - atb for rdb, atb in zip(rd, _apply_at(dy, d))]
+        dx = [_sym(rcb - wb @ dsb @ wb) for rcb, wb, dsb in zip(rc, w, ds)]
+        return dx, dy, ds, [gi @ dxb @ _dag(gi) for (_, gi, _), dxb in zip(scaling, dx)], \
+            [_dag(g) @ dsb @ g for (g, _, _), dsb in zip(scaling, ds)]
+
+    def steps(scaled):
+        return np.minimum.reduce([_max_step(sb, dv) for sb, (_, _, dv) in zip(scaled, scaling)])
+
+    dx, _, ds, dx_scaled, ds_scaled = newton([-xb for xb in x])  # predictor
+    ap, ad = np.minimum(1.0, steps(dx_scaled)), np.minimum(1.0, steps(ds_scaled))
+    mu_aff = _inner([xb + _per_item(ap, xb) * dxb for xb, dxb in zip(x, dx)],
+                    [sb + _per_item(ad, sb) * dsb for sb, dsb in zip(s, ds)]) / _sides(d)
+    sigma_mu = np.clip((np.maximum(mu_aff, 0.0) / mu) ** 3, 1e-12, 1.0) * mu
+
+    rc = []  # corrector: G (sigma mu D^-1 - (dX~ dS~ + dS~ dX~) / (d_i + d_j)) G^H - X
+    for (g, _, dv), xb, dxs, dss in zip(scaling, x, dx_scaled, ds_scaled):
+        inner = -(dxs @ dss + dss @ dxs) / (dv[..., :, None] + dv[..., None, :])
+        inner += np.eye(dv.shape[-1]) * (_per_item(sigma_mu, dv) / dv)[..., None, :]
+        rc.append(g @ inner @ _dag(g) - xb)
+    dx, dy, ds, dx_scaled, ds_scaled = newton(rc)
+    alpha_p = np.minimum(1.0, _STEP_FRACTION * steps(dx_scaled))
+    alpha_d = np.minimum(1.0, _STEP_FRACTION * steps(ds_scaled))
+    new = dict(st, y=st["y"] + alpha_d[:, None] * dy)
+    new["x"] = [_sym(xb + _per_item(alpha_p, xb) * dxb) for xb, dxb in zip(x, dx)]
+    new["s"] = [_sym(sb + _per_item(alpha_d, sb) * dsb) for sb, dsb in zip(s, ds)]
+    return new, np.maximum(alpha_p, alpha_d)
+
+
+def _take(st: dict, keep) -> dict:
+    return {k: [b[keep] for b in v] if isinstance(v, list) else v[keep] for k, v in st.items()}
+
+
+def _join(parts: list) -> dict:
+    return {k: [np.concatenate(blocks) for blocks in zip(*(p[k] for p in parts))]
+            if isinstance(v, list) else np.concatenate([p[k] for p in parts]) for k, v in parts[0].items()}
+
+
+def _lockstep(chois: np.ndarray, gap_tols: np.ndarray, feas_tol: float, max_iters: int) -> list:
+    batch, n = chois.shape[:2]
+    d = int(round(np.sqrt(n)))
+    v = np.concatenate([_coords(chois), np.zeros((batch, n))], axis=1)
+    # infeasible start on the central ray, X = S = I: with |J|_F <= 1 no
+    # coordinate of J exceeds 1, so both of its scale factors are 1
+    eye = [np.tile(np.eye(k, dtype=complex), (batch, *lead, 1, 1))
+           for k, lead in ((n, (2,)), (d, ()), (1, ()))]
+    st = {"x": eye, "s": [e.copy() for e in eye], "y": np.zeros_like(v), "v": v,
+          "gap_tol": np.asarray(gap_tols, dtype=float), "index": np.arange(batch),
+          "best_rp": np.full(batch, np.inf), "stalled": np.zeros(batch, dtype=int)}
+    results = [None] * batch
+
+    def retire(st, leaving, outcome):
+        for i in np.flatnonzero(leaving):
+            results[st["index"][i]] = outcome(st, i)
+        return _take(st, ~leaving)
+
+    def failure(reason, iterations):
+        return lambda st, i: SdpConvergenceError(reason, float(st["gap"][i]), iterations,
+                                                 float(st["rp_norm"][i]))
+
+    def solution(st, i):
+        return SdpSolution(
+            value=0.5 * float(st["pobj"][i] + st["dobj"][i]), primal_objective=float(st["pobj"][i]),
+            dual_objective=float(st["dobj"][i]), gap=float(st["gap"][i]), iterations=iteration - 1,
+            primal_blocks=[st["x"][0][i, 0], st["x"][0][i, 1], st["x"][1][i], st["x"][2][i]],
+            dual_y=st["y"][i], primal_residual=float(st["rp_norm"][i]),
+            dual_residual=float(st["rd_norm"][i]))
+
+    for iteration in range(1, max_iters + 1):
+        _residuals(st)
+        st["centred"] = (st["gap"] <= st["gap_tol"]) & (st["mu"] * _sides(d) <= st["gap_tol"])
+        st = retire(st, st["centred"] & (st["rp_norm"] <= feas_tol) & (st["rd_norm"] <= feas_tol),
+                    solution)
+        watch = st["centred"] & (st["rp_norm"] > feas_tol)
+        halved = st["rp_norm"] < 0.5 * st["best_rp"]
+        st["best_rp"] = np.where(watch & halved, st["rp_norm"], st["best_rp"])
+        st["stalled"] = np.where(watch, np.where(halved, 0, st["stalled"] + 1), st["stalled"])
+        st = retire(st, st["stalled"] >= _STALL_ITERS,
+                    failure("primal residual stalled above the feasibility tolerance", iteration - 1))
+        st = retire(st, ~np.isfinite(st["gap"] + st["rp_norm"] + st["rd_norm"]),
+                    failure("linear algebra failure (non-finite iterate)", iteration - 1))
+        if not len(st["index"]):
+            return results
         try:
-            low = np.linalg.cholesky(mat + jitter * np.eye(mat.shape[0]) if jitter else mat)
-            return low, np.ascontiguousarray(low.T[::-1, ::-1])
+            st, alpha = _iterate(st)
         except np.linalg.LinAlgError:
-            jitter = max(jitter * 10.0, np.finfo(float).eps * scale)
-    return None
-
-
-def _chol_solve(factor, mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve mat x = rhs through ``_chol_factor(mat)``, by least squares without one."""
-    if factor is None:
-        return np.linalg.lstsq(mat, rhs, rcond=None)[0]
-    low, upper_reversed = factor
-    return _lower_solve(upper_reversed, _lower_solve(low, rhs)[::-1])[::-1]
-
-
-def solve_sdp(
-    problem: SdpProblem,
-    *,
-    gap_tol: float = 1e-10,
-    feas_tol: float = 1e-9,
-    max_iters: int = 500,
-    step_fraction: float = 0.98,
-) -> SdpSolution:
-    sizes = [int(n) for n in problem.block_sizes]
-    nblocks = len(sizes)
-    a_stacks = [np.asarray(problem.constraints[b], dtype=complex) for b in range(nblocks)]
-    c_blocks = [np.asarray(problem.objective[b], dtype=complex) for b in range(nblocks)]
-    v = np.asarray(problem.rhs, dtype=float)
-    m = v.size
-    a_flat = [a_stacks[b].reshape(m, -1) for b in range(nblocks)]
-    n_total = sum(sizes)
-
-    def apply_a(blocks):
-        out = np.zeros(m)
-        for b in range(nblocks):
-            out += (a_flat[b].conj() @ blocks[b].reshape(-1)).real
-        return out
-
-    def apply_at(y):
-        return [(y @ a_flat[b]).reshape(sizes[b], sizes[b]) for b in range(nblocks)]
-
-    # well-scaled infeasible start on the central ray
-    xi_p = max(1.0, float(np.max(np.abs(v))) if m else 1.0)
-    xi_d = max(1.0, max(float(np.max(np.abs(c))) if c.size else 0.0 for c in c_blocks))
-    x = [xi_p * np.eye(n, dtype=complex) for n in sizes]
-    s = [xi_d * np.eye(n, dtype=complex) for n in sizes]
-    y = np.zeros(m)
-
-    v_scale = 1.0 + float(np.linalg.norm(v))
-    c_scale = 1.0 + float(np.sqrt(sum(np.linalg.norm(c) ** 2 for c in c_blocks)))
-
-    pobj = dobj = 0.0
-    gap = np.inf
-    rp_norm = rd_norm = best_rp = np.inf
-    iteration = stalled = 0
-
-    def failure(reason):
-        return SdpConvergenceError(reason, gap, iteration - 1, rp_norm)
-
-    try:
-        for iteration in range(1, max_iters + 1):
-            rp = v - apply_a(x)
-            at_y = apply_at(y)
-            rd = [c_blocks[b] - s[b] - at_y[b] for b in range(nblocks)]
-            mu = sum(np.vdot(x[b], s[b]).real for b in range(nblocks)) / n_total
-
-            pobj = sum(np.vdot(c_blocks[b], x[b]).real for b in range(nblocks))
-            dobj = float(v @ y)
-            gap = abs(pobj - dobj)
-            rp_norm = float(np.linalg.norm(rp)) / v_scale
-            rd_norm = float(np.sqrt(sum(np.linalg.norm(r) ** 2 for r in rd))) / c_scale
-
-            if gap <= gap_tol and mu * n_total <= gap_tol and rp_norm <= feas_tol and rd_norm <= feas_tol:
-                return SdpSolution(
-                    value=0.5 * (pobj + dobj),
-                    primal_objective=pobj,
-                    dual_objective=dobj,
-                    gap=gap,
-                    iterations=iteration - 1,
-                    primal_blocks=x,
-                    dual_y=y,
-                    primal_residual=rp_norm,
-                    dual_residual=rd_norm,
-                )
-            if gap <= gap_tol and mu * n_total <= gap_tol and rp_norm > feas_tol:
-                if rp_norm < 0.5 * best_rp:
-                    best_rp, stalled = rp_norm, 0
-                else:
-                    stalled += 1
-                    if stalled >= _STALL_ITERS:
-                        raise failure("primal residual stalled above the feasibility tolerance")
-
-            # S^-1 and the whitening of x and S, shared by predictor and corrector
-            r_x = [_whitener(x[b]) for b in range(nblocks)]
-            r_s, s_inv = [], []
-            for b in range(nblocks):
+            steps = []  # step each problem alone, so that a failure stays with its problem
+            for i in range(len(st["index"])):
                 try:
-                    inv_l = np.linalg.inv(np.linalg.cholesky(s[b]))
-                    r_s.append(inv_l.conj().T)
-                    s_inv.append(_sym(inv_l.conj().T @ inv_l))
-                except np.linalg.LinAlgError:
-                    r_s.append(_whitener(s[b]))
-                    s_inv.append(_sym(np.linalg.pinv(s[b])))
+                    steps.append(_iterate(_take(st, [i])))
+                except np.linalg.LinAlgError as exc:
+                    retire(_take(st, [i]), np.array([True]),
+                           failure(f"linear algebra failure ({exc})", iteration - 1))
+            if not steps:
+                return results
+            st, alpha = _join([p for p, _ in steps]), np.concatenate([a for _, a in steps])
+        st = retire(st, alpha < 1e-12, failure("interior-point step collapsed", iteration - 1))
+        if not len(st["index"]):
+            return results
+    retire(st, np.ones(len(st["index"]), dtype=bool),
+           failure(f"no convergence within {max_iters} iterations", max_iters))
+    return results
 
-            # Schur complement M_ij = Re tr(A_i X A_j S^{-1}), factored once for both passes
-            schur = np.zeros((m, m))
-            for b in range(nblocks):
-                t = np.matmul(np.matmul(x[b][None, :, :], a_stacks[b]), s_inv[b][None, :, :])
-                schur += (a_flat[b].conj() @ t.reshape(m, -1).T).real
-            schur = (schur + schur.T) / 2
-            factor = _chol_factor(schur)
 
-            def newton(sigma_mu, corr):
-                g = []
-                for b in range(nblocks):
-                    gb = -x[b] - x[b] @ rd[b] @ s_inv[b]
-                    if sigma_mu > 0.0:
-                        gb = gb + sigma_mu * s_inv[b]
-                    if corr is not None:
-                        gb = gb - corr[b] @ s_inv[b]
-                    g.append(gb)
-                rhs = rp - apply_a([_sym(gb) for gb in g])
-                dy = _chol_solve(factor, schur, rhs)
-                at_dy = apply_at(dy)
-                ds = [rd[b] - at_dy[b] for b in range(nblocks)]
-                dx = [_sym(g[b] + x[b] @ at_dy[b] @ s_inv[b]) for b in range(nblocks)]
-                return dx, dy, ds
+def solve_diamond(chois, gap_tols, *, feas_tol: float = 1e-9, max_iters: int = 500) -> list:
+    """Solve the diamond-norm program for a stack of Choi matrices of one d.
 
-            # predictor
-            dx_aff, dy_aff, ds_aff = newton(0.0, None)
-            ap_aff = min(1.0, min(_max_step(r_x[b], dx_aff[b]) for b in range(nblocks)))
-            ad_aff = min(1.0, min(_max_step(r_s[b], ds_aff[b]) for b in range(nblocks)))
-            mu_aff = sum(
-                np.vdot(x[b] + ap_aff * dx_aff[b], s[b] + ad_aff * ds_aff[b]).real
-                for b in range(nblocks)
-            ) / n_total
-            sigma = min(1.0, max(1e-12, (max(mu_aff, 0.0) / mu) ** 3))
-
-            # corrector
-            corr = [dx_aff[b] @ ds_aff[b] for b in range(nblocks)]
-            dx, dy, ds = newton(sigma * mu, corr)
-
-            alpha_p = min(1.0, step_fraction * min(_max_step(r_x[b], dx[b]) for b in range(nblocks)))
-            alpha_d = min(1.0, step_fraction * min(_max_step(r_s[b], ds[b]) for b in range(nblocks)))
-            if max(alpha_p, alpha_d) < 1e-12:
-                raise failure("interior-point step collapsed")
-
-            for b in range(nblocks):
-                x[b] = _sym(x[b] + alpha_p * dx[b])
-                s[b] = _sym(s[b] + alpha_d * ds[b])
-            y = y + alpha_d * dy
-    except np.linalg.LinAlgError as exc:
-        raise failure(f"linear algebra failure ({exc})") from exc
-
-    raise SdpConvergenceError(f"no convergence within {max_iters} iterations", gap, max_iters, rp_norm)
+    ``chois`` has shape (B, d^2, d^2), each Hermitian with Frobenius norm at
+    most 1; ``gap_tols`` is each problem's duality-gap tolerance.  The
+    problems run in lockstep batches of ``batch_size(d)``.  Returns, in
+    order, each problem's ``SdpSolution`` or ``SdpConvergenceError``.
+    """
+    chois = np.asarray(chois, dtype=complex)
+    gap_tols = np.broadcast_to(np.asarray(gap_tols, dtype=float), chois.shape[:1])
+    size = batch_size(int(round(np.sqrt(chois.shape[-1]))))
+    return [sol for lo in range(0, len(chois), size)
+            for sol in _lockstep(chois[lo:lo + size], gap_tols[lo:lo + size], feas_tol, max_iters)]

@@ -99,10 +99,10 @@ def test_missing_config_is_bad_input(capsys):
 
 
 def test_solver_failure_exits_1(config_path, monkeypatch, capsys):
-    def failing_solve(problem, **kwargs):
-        raise SdpConvergenceError("interior-point step collapsed", 3e-4)
+    def failing_solve(chois, gap_tols, **kwargs):
+        return [SdpConvergenceError("interior-point step collapsed", 3e-4) for _ in chois]
 
-    monkeypatch.setattr(norms, "solve_sdp", failing_solve)
+    monkeypatch.setattr(norms, "solve_diamond", failing_solve)
     assert main(["sweep", config_path]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1

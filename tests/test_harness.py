@@ -219,8 +219,36 @@ def test_run_sweep_records_failures_and_continues(tmp_path):
                           n_grid=(4,), seed=0, outputs=str(tmp_path / "out"))
     records = run_sweep(spec, write_files=False)
     by_method = {r.method: r for r in records}
-    assert by_method[Method.S2_RAN].status.startswith("error:")
+    assert by_method[Method.S2_RAN].status.startswith("error: s2_ran N=4: ")
     assert by_method[Method.S1_DET].status == "ok"
+
+
+def test_failed_solve_is_recorded_and_its_batch_certifies(monkeypatch):
+    # the points' errors are certified in one batch; a point whose solve
+    # fails gets its own error and the other points keep their values
+    import lindsim.norms as norms
+
+    spec = ExperimentSpec(model="random d=2 m=3 seed=7", methods=(Method.S1_DET, Method.S2_DET),
+                          t=1.0, n_grid=(4, 8, 16), seed=0)
+    clean = run_sweep(spec, write_files=False)
+    real = norms.solve_diamond
+    batches = []
+
+    def poisoning(chois, gap_tols, **kwargs):
+        chois = np.array(chois)
+        batches.append(len(chois))
+        if len(chois) == 6:  # the sweep's batch: poison s1_det at N = 8
+            chois[1, 0, 0] = np.nan
+        return real(chois, gap_tols, **kwargs)
+
+    monkeypatch.setattr(norms, "solve_diamond", poisoning)
+    records = run_sweep(spec, write_files=False)
+    assert batches == [3, 6]  # generator_stats, then every point at once
+    assert records[1].status.startswith("error: s1_det N=8: linear algebra failure")
+    assert np.isnan(records[1].epsilon_empirical)
+    for i in (0, 2, 3, 4, 5):
+        assert records[i].status == "ok"
+        assert records[i].epsilon_empirical == pytest.approx(clean[i].epsilon_empirical, abs=1e-9)
 
 
 def test_fit_order_exact_synthetic():

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -6,15 +8,16 @@ from lindsim.linalg import kron
 from lindsim.models import builtin_model
 from lindsim.norms import (
     GeneratorStats,
-    _herm_basis,
     diamond_norm,
     diamond_norm_solution,
+    diamond_norm_solutions,
     generator_stats,
     power_contraction_check,
     sampled_diamond_lower_bound,
 )
-from lindsim.sdp import SdpConvergenceError, SdpProblem, solve_sdp
+from lindsim.sdp import SdpConvergenceError
 from lindsim.tolerances import TOL
+from sdp_reference import SdpProblem, herm_basis, reference_diamond_norm, solve_sdp
 
 SM = np.array([[0, 1], [0, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -136,13 +139,13 @@ def test_generator_stats_one_solve_per_term(monkeypatch, name, params):
                for k in range(1, gen.m_total + 1))
     calls = []
 
-    def counting(superop):
-        calls.append(1)
-        return diamond_norm(superop)
+    def counting(superops):
+        calls.append(len(superops))
+        return diamond_norm_solutions(superops)
 
-    monkeypatch.setattr("lindsim.norms.diamond_norm", counting)
+    monkeypatch.setattr("lindsim.norms.diamond_norm_solutions", counting)
     stats = generator_stats(gen)
-    assert len(calls) == gen.m_total
+    assert calls == [gen.m_total]  # one batch, one solve per term
     assert stats.max_scaled_norm == pytest.approx(scaled, abs=TOL.diamond_abs_tol)
     assert stats.max_bare_norm == pytest.approx(bare, abs=TOL.diamond_abs_tol)
 
@@ -214,7 +217,7 @@ def _general_diamond_problem(j, d):
     """
     n = d * d
     big = 2 * n
-    basis = _herm_basis(d)
+    basis = herm_basis(d)
     m = 2 * n * n + 2 * d * d
     a_big = np.zeros((m, big, big), dtype=complex)
     a_h0 = np.zeros((m, d, d), dtype=complex)
@@ -331,15 +334,100 @@ def test_qudit_term_with_stalling_residual_ends_early():
 def test_generator_stats_failure_names_term_and_dimension(monkeypatch):
     gen = builtin_model("random", dict(d=3, m=3, seed=2))
 
-    def failing_on_term_2(superop):
-        if np.allclose(superop, term_superop(gen, 2, with_rate=False)):
-            raise SdpConvergenceError("interior-point step collapsed", 2e-5, 37, 4e-8)
-        return 1.0
+    def failing_on_term_2(superops):
+        return [SdpConvergenceError("interior-point step collapsed", 2e-5, 37, 4e-8)
+                if np.allclose(superop, term_superop(gen, 2, with_rate=False))
+                else SimpleNamespace(value=1.0) for superop in superops]
 
-    monkeypatch.setattr("lindsim.norms.diamond_norm", failing_on_term_2)
+    monkeypatch.setattr("lindsim.norms.diamond_norm_solutions", failing_on_term_2)
     with pytest.raises(SdpConvergenceError) as err:
         generator_stats(gen)
     message = str(err.value)
     assert "term 2" in message and "d=3" in message and "step collapsed" in message
     assert "37 iterations" in message and "primal residual 4.000e-08" in message
     assert (err.value.gap, err.value.iterations, err.value.primal_residual) == (2e-5, 37, 4e-8)
+
+
+# ---------------------------------------------------------------------------
+# batched certification against the HKM reference
+# ---------------------------------------------------------------------------
+
+def _assert_matches_reference(solutions, maps):
+    # two certified values differ by at most half their summed gaps; each
+    # gap is at most 1e-9 per unit of the Choi matrix's Frobenius norm
+    for sol, s in zip(solutions, maps):
+        ref = reference_diamond_norm(s)
+        assert sol.gap <= TOL.sdp_gap_tol
+        assert abs(sol.value - ref.value) <= max(1e-9, (sol.gap + ref.gap) / 2)
+
+
+def test_batched_closed_forms_match_reference():
+    u = np.diag([1.0, 1j])
+    maps = [np.zeros((4, 4)), np.eye(4) - unitary_conjugation(u),
+            exact_channel(builtin_model("amp_damp"), 0.6), exact_channel(builtin_model("qubit3"), 1.2)]
+    solutions = diamond_norm_solutions(maps)
+    expected = [0.0, np.sqrt(2), 1.0, 1.0]
+    assert [sol.value for sol in solutions] == pytest.approx(expected, abs=TOL.diamond_abs_tol)
+    _assert_matches_reference(solutions, maps)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_batched_commutators_and_random_maps_match_reference(d):
+    rng = np.random.default_rng(200 + d)
+    gens = [builtin_model("random", dict(d=d, m=1, seed=seed)) for seed in range(2)]
+    maps = [term_superop(gen, 1) for gen in gens]
+    maps += [_random_hp_map(d, k, rng) for k in (1, 3)]
+    gen = builtin_model("random", dict(d=d, m=3, seed=d))
+    maps += [term_superop(gen, 2), exact_channel(gen, 0.3) - np.eye(d * d)]
+    solutions = diamond_norm_solutions(maps)
+    for gen, sol in zip(gens, solutions):
+        eigs = np.linalg.eigvalsh(gen.hamiltonian)
+        assert sol.value == pytest.approx(eigs[-1] - eigs[0], abs=TOL.diamond_abs_tol)
+    _assert_matches_reference(solutions, maps)
+
+
+def test_solutions_keep_order_across_dimensions_and_bad_inputs():
+    maps = [np.eye(9) - unitary_conjugation(np.diag([1.0, 1.0, 1j])),
+            1j * np.eye(4),  # not Hermiticity-preserving
+            np.eye(4) - unitary_conjugation(np.diag([1.0, 1j])),
+            np.zeros((3, 3))]  # not a square of squares
+    solutions = diamond_norm_solutions(maps)
+    assert solutions[0].value == pytest.approx(np.sqrt(2), abs=TOL.diamond_abs_tol)
+    assert solutions[2].value == pytest.approx(np.sqrt(2), abs=TOL.diamond_abs_tol)
+    assert isinstance(solutions[1], ValueError) and "Hermiticity" in str(solutions[1])
+    assert isinstance(solutions[3], ValueError) and "square of squares" in str(solutions[3])
+
+
+def test_power_contraction_several_n_match_single_calls(monkeypatch):
+    t_chan = exact_channel(builtin_model("random", dict(d=2, m=3, seed=10)), 0.5)
+    v_chan = exact_channel(builtin_model("random", dict(d=2, m=3, seed=11)), 0.5)
+    singles = [power_contraction_check(t_chan, v_chan, n) for n in (2, 4, 8)]
+    batches = []
+
+    def counting(superops):
+        batches.append(len(superops))
+        return diamond_norm_solutions(superops)
+
+    monkeypatch.setattr("lindsim.norms.diamond_norm_solutions", counting)
+    assert power_contraction_check(t_chan, v_chan, (2, 4, 8)) == singles == [True] * 3
+    assert batches == [4]  # ||T - V|| once, with every ||T^N - V^N||
+    loose = power_contraction_check(t_chan, v_chan, [1, 3], slack=-1.0)
+    assert loose == [power_contraction_check(t_chan, v_chan, 1, slack=-1.0),
+                     power_contraction_check(t_chan, v_chan, 3, slack=-1.0)]
+    with pytest.raises(ValueError, match="positive"):
+        power_contraction_check(t_chan, v_chan, [2, 0])
+
+
+def test_identities_suite_makes_80_solves(monkeypatch):
+    from lindsim.harness import validate_all
+
+    solves = []
+
+    def counting(superops):
+        solves.append(len(superops))
+        return diamond_norm_solutions(superops)
+
+    monkeypatch.setattr("lindsim.norms.diamond_norm_solutions", counting)
+    report = validate_all(seed=0, suite="identities")
+    assert report.passed
+    assert sum(solves) == 80 and len(solves) == 20

@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
 
-from lindsim import sdp
-from lindsim.sdp import SdpConvergenceError, SdpProblem, solve_sdp
+import sdp_reference as sdp
+from lindsim import sdp as nt
+from lindsim.lindblad import choi, exact_channel, term_superop
+from lindsim.models import builtin_model
+from lindsim.sdp import SdpConvergenceError
+from lindsim.tolerances import TOL
+from sdp_reference import SdpProblem, solve_sdp
 
 
 def _min_eigenvalue_problem(c):
@@ -78,12 +83,8 @@ def test_convergence_error_reports_solver_state():
 
 
 def _diamond_problem(d, seed, k):
-    from lindsim.lindblad import choi, term_superop
-    from lindsim.models import builtin_model
-    from lindsim.norms import _diamond_hp_problem
-
     j = choi(term_superop(builtin_model("random", dict(d=d, m=3, seed=seed)), k), d)
-    return _diamond_hp_problem(j / np.linalg.norm(j), d)
+    return sdp.diamond_hp_problem(j / np.linalg.norm(j), d)
 
 
 def test_stalled_primal_residual_raises_early():
@@ -131,3 +132,190 @@ def test_max_step_reaches_the_boundary():
     assert np.allclose(r.conj().T @ x @ r, np.eye(4))
     alpha = sdp._max_step(r, dx)
     assert np.min(np.linalg.eigvalsh(x + alpha * dx)) == pytest.approx(0.0, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the batched Nesterov-Todd solver in lindsim.sdp
+# ---------------------------------------------------------------------------
+
+def _rand_pd(rng, k, shape):
+    g = rng.normal(size=shape + (k, k)) + 1j * rng.normal(size=shape + (k, k))
+    return g @ g.conj().swapaxes(-1, -2) + 0.1 * np.eye(k)
+
+
+def _reference_coordinates(d):
+    """t with t.T mapping the NT coordinates of a constraint vector to the reference's rows."""
+    n = d * d
+    t = np.zeros((n * n + d * d, n * n + d * d))
+    t[:n * n, :n * n] = nt._coords(sdp.herm_basis(n)).T
+    t[n * n:, n * n:] = nt._coords(sdp.herm_basis(d)).T
+    return t
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_structured_schur_complement_matches_constraint_stack(d):
+    # M_ij = sum_b Re tr(A_i W_b A_j W_b) over the reference's explicit constraints
+    rng = np.random.default_rng(d)
+    n = d * d
+    w = [_rand_pd(rng, n, (3, 2)), _rand_pd(rng, d, (3,)), _rand_pd(rng, 1, (3,))]
+    schur = nt._schur(w)
+    problem = sdp.diamond_hp_problem(np.zeros((n, n)), d)
+    t = _reference_coordinates(d)
+    for b in range(3):
+        dense = 0.0
+        for blk, a in zip([w[0][b, 0], w[0][b, 1], w[1][b], w[2][b]], problem.constraints):
+            aw = a @ blk
+            dense = dense + np.einsum("irs,jsr->ij", aw, aw).real
+        assert np.max(np.abs(t.T @ schur[b] @ t - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_constraint_map_and_adjoint_match_constraint_stack(d):
+    rng = np.random.default_rng(10 + d)
+    n = d * d
+    x = [_rand_pd(rng, n, (2, 2)), _rand_pd(rng, d, (2,)), _rand_pd(rng, 1, (2,))]
+    y = rng.normal(size=(2, n * n + d * d))
+    problem = sdp.diamond_hp_problem(np.zeros((n, n)), d)
+    t = _reference_coordinates(d)
+    for b in range(2):
+        blocks = [x[0][b, 0], x[0][b, 1], x[1][b], x[2][b]]
+        dense = sum(np.einsum("irs,sr->i", a, blk).real for a, blk in zip(problem.constraints, blocks))
+        assert np.allclose(t.T @ nt._apply_a(x)[b], dense, atol=1e-12)
+        y_ref = t.T @ y[b]
+        at = nt._apply_at(y, d)
+        for a, got in zip(problem.constraints, [at[0][b, 0], at[0][b, 1], at[1][b], at[2][b]]):
+            assert np.allclose(got, np.tensordot(y_ref, a, axes=1), atol=1e-12)
+
+
+def _unit_chois(maps):
+    chois = [choi(s) for s in maps]
+    return np.array([j / max(1.0, np.linalg.norm(j)) for j in chois])
+
+
+def _batch_maps():
+    gen = builtin_model("random", dict(d=3, m=3, seed=5))
+    maps = [term_superop(gen, k) for k in range(1, gen.m_total + 1)]
+    return maps + [exact_channel(gen, 0.4) - np.eye(9)]
+
+
+def test_batch_independence():
+    # an item's value does not depend on its batch-mates or its place in the batch
+    chois = _unit_chois(_batch_maps())
+    alone = [nt.solve_diamond(j[None], 1e-9)[0].value for j in chois]
+    together = [sol.value for sol in nt.solve_diamond(chois, 1e-9)]
+    order = [2, 0, 3, 1]
+    reordered = [sol.value for sol in nt.solve_diamond(chois[order], 1e-9)]
+    assert np.max(np.abs(np.subtract(alone, together))) <= 1e-9
+    assert np.max(np.abs(np.subtract(np.array(alone)[order], reordered))) <= 1e-9
+
+
+def test_lockstep_batches_follow_the_byte_budget():
+    assert nt.batch_size(2) >= 25 and 4 <= nt.batch_size(3) <= 8 and nt.batch_size(4) == 1
+    chois = np.concatenate([_unit_chois(_batch_maps())] * 2)
+    sizes = []
+    real = nt._lockstep
+
+    def recording(stack, *args):
+        sizes.append(len(stack))
+        return real(stack, *args)
+
+    import unittest.mock as mock
+    with mock.patch.object(nt, "_lockstep", recording):
+        results = nt.solve_diamond(chois, 1e-9)
+    assert sizes == [nt.batch_size(3), len(chois) - nt.batch_size(3)]
+    assert all(isinstance(sol, nt.SdpSolution) and sol.gap <= 1e-9 for sol in results)
+
+
+def test_failure_stays_with_its_item():
+    # a non-finite problem fails alone; its batch-mates certify as they do alone
+    chois = _unit_chois(_batch_maps())
+    alone = [sol.value for sol in nt.solve_diamond(chois, 1e-9)]
+    chois[1, 0, 0] = np.nan
+    results = nt.solve_diamond(chois, 1e-9)
+    assert isinstance(results[1], SdpConvergenceError)
+    assert "non-finite" in results[1].reason and results[1].iterations == 0
+    for i in (0, 2, 3):
+        assert results[i].gap <= 1e-9
+        assert abs(results[i].value - alone[i]) <= 1e-9
+
+
+def test_linear_algebra_failure_isolated_to_its_item(monkeypatch):
+    # a LinAlgError inside a batched step re-runs the step item by item; only
+    # the item that raises alone gets the error
+    chois = _unit_chois(_batch_maps())
+    alone = [sol.value for sol in nt.solve_diamond(chois, 1e-9)]
+    real = nt._iterate
+
+    def breaking(st, *args):
+        if 2 in st["index"]:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real(st, *args)
+
+    monkeypatch.setattr(nt, "_iterate", breaking)
+    results = nt.solve_diamond(chois, 1e-9)
+    assert isinstance(results[2], SdpConvergenceError)
+    assert "SVD did not converge" in results[2].reason and results[2].iterations == 0
+    for i in (0, 1, 3):
+        assert abs(results[i].value - alone[i]) <= 1e-9
+
+
+def test_square_root_clips_only_the_singular_item():
+    rng = np.random.default_rng(3)
+    x = _rand_pd(rng, 4, (3,))
+    x[1] = np.diag([1.0, 1e-3, 0.0, -1e-17])  # PSD but not numerically PD
+    low = nt._cholesky(x, nt._clipped_root)
+    for i in (0, 2):
+        assert np.array_equal(low[i], np.linalg.cholesky(x[i]))
+    assert np.allclose(low[1] @ low[1].conj().T, x[1], atol=1e-12)
+    assert np.all(np.isfinite(low[1]))
+
+
+@pytest.mark.parametrize("n", [7, nt._LEAF + 1, 272])
+def test_batched_factor_solve_matches_dense_solve(n):
+    rng = np.random.default_rng(n)
+    g = rng.normal(size=(3, n, n))
+    mats = g @ g.swapaxes(1, 2) + 1e-3 * np.eye(n)
+    v = rng.normal(size=(n, n // 2 + 1))
+    mats[1] = v @ v.T - 1e-15 * np.eye(n)  # indefinite only by rounding: jittered
+    rhs = rng.normal(size=(3, n))
+    low = nt._cholesky(mats, nt._jittered)
+    assert np.max(np.abs(low[1] @ low[1].T - mats[1])) <= 1e-12 * np.max(np.abs(mats[1]))
+    x = nt._solve(low, rhs)
+    for i in (0, 2):
+        assert np.array_equal(low[i], np.linalg.cholesky(mats[i]))
+        assert np.linalg.norm(mats[i] @ x[i] - rhs[i]) <= 1e-11 * np.linalg.norm(mats[i]) * np.linalg.norm(x[i])
+    mats[2] = -np.eye(n)  # no rung of the ladder factors it
+    with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+        nt._cholesky(mats, nt._jittered)
+
+
+def test_full_d3_batch_stays_within_its_workspace_budget():
+    import tracemalloc
+
+    gen = builtin_model("random", dict(d=3, m=4, seed=14))
+    full = exact_channel(gen, 1.0)
+    maps = [full - np.linalg.matrix_power(exact_channel(gen, 1.0 / k), k)
+            for k in range(2, 2 + nt.batch_size(3))]
+    chois = _unit_chois(maps)
+    nt.solve_diamond(chois[:1], 1e-9)  # per-d plans are built lazily, outside the measurement
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        results = nt.solve_diamond(chois, 1e-9)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert all(isinstance(sol, nt.SdpSolution) and sol.gap <= 1e-9 for sol in results)
+    assert peak <= 1.25 * nt._BATCH_BYTES
+
+
+def test_newton_right_hand_side_matches_the_symmetrized_step():
+    # the right-hand side must be the constraint image of the Hermitian part
+    # that the step takes; with the upper triangle of the raw matrix instead,
+    # the primal residual of these solves climbed to 1e-8 and stalled
+    from lindsim.norms import diamond_norm_solution
+
+    gen = builtin_model("random", dict(d=4, m=4, seed=5))
+    for k in (2, 3):
+        sol = diamond_norm_solution(term_superop(gen, k, with_rate=True))
+        assert sol.gap <= TOL.sdp_gap_tol and sol.iterations <= 30
