@@ -31,18 +31,13 @@ __all__ = [
     "GeneratorStats",
     "apply_to_doubled_space",
     "diamond_norm",
+    "diamond_norm_certificates",
     "diamond_norm_solution",
     "diamond_norm_solutions",
     "generator_stats",
     "power_contraction_check",
     "sampled_diamond_lower_bound",
 ]
-
-
-def _certified(result) -> SdpSolution:
-    if isinstance(result, Exception):
-        raise result
-    return result
 
 
 def diamond_norm_solutions(superops) -> list:
@@ -89,9 +84,19 @@ def diamond_norm_solutions(superops) -> list:
     return results
 
 
+def diamond_norm_certificates(superops) -> list:
+    """Each map's ``SdpSolution``, solved as ``diamond_norm_solutions`` does;
+    raises the first map's exception instead of returning it."""
+    solved = diamond_norm_solutions(superops)
+    for sol in solved:
+        if isinstance(sol, Exception):
+            raise sol
+    return solved
+
+
 def diamond_norm_solution(superop: np.ndarray) -> SdpSolution:
     """Solve the diamond-norm SDP and return the full certificate."""
-    return _certified(diamond_norm_solutions([superop])[0])
+    return diamond_norm_certificates([superop])[0]
 
 
 def diamond_norm(superop: np.ndarray) -> float:
@@ -174,7 +179,9 @@ def generator_stats(gen: GkslGenerator, gamma_includes_hamiltonian: bool = True)
         if isinstance(sol, SdpConvergenceError):
             raise SdpConvergenceError(f"diamond norm of term {k} of a d={gen.dim} generator: {sol.reason}",
                                       sol.gap, sol.iterations, sol.primal_residual) from sol
-        norm = _certified(sol).value
+        if isinstance(sol, Exception):
+            raise sol
+        norm = sol.value
         bare = max(bare, norm)
         scaled = max(scaled, gen.rate(k) * norm)
     rates = gen.rates
@@ -202,6 +209,6 @@ def power_contraction_check(t_chan: np.ndarray, v_chan: np.ndarray, n, slack: fl
             raise ValueError(f"{name} input is not CPTP at tolerance {TOL.cptp_tol}")
     maps = [t_chan - v_chan] + [np.linalg.matrix_power(t_chan, k) - np.linalg.matrix_power(v_chan, k)
                                 for k in ns]
-    rhs, *lhs = [_certified(sol).value for sol in diamond_norm_solutions(maps)]
+    rhs, *lhs = [sol.value for sol in diamond_norm_certificates(maps)]
     holds = [bool(value <= k * rhs + slack) for value, k in zip(lhs, ns)]
     return holds[0] if isinstance(n, Integral) else holds

@@ -16,10 +16,14 @@ W_P Z W_P + W_Q Z W_Q, whose coordinates are products W[i, k] W[l, j]
 gathered over diagonal and off-diagonal index pairs, and the slack rows see
 the d^2 lifted basis matrices b (x) I.  That is d^8 work per iteration.
 
-``solve_diamond`` solves a stack of problems of one d in lockstep on stacked
-arrays, so numpy's per-call overhead is paid once per batch.  Each problem
-keeps its own stopping tests and leaves the batch when it converges or
-fails; a failure becomes that problem's ``SdpConvergenceError`` only.
+The iterates of a problem are one array of three blocks of one side,
+[P, Q, H (+) mu]: P and Q, and H and mu on the diagonal of one block, with
+the unused entries held at zero (and padded for the square roots).  Every
+per-block operation is thus one numpy call, whatever the block sizes.
+``solve_diamond`` solves a stack of problems of one d in lockstep, so numpy's
+per-call overhead is paid once per batch.  Each problem keeps its own
+stopping tests and leaves the batch when it converges or fails; a failure
+becomes that problem's ``SdpConvergenceError`` only.
 """
 
 from __future__ import annotations
@@ -78,7 +82,9 @@ _BATCH_BYTES = 1 << 20
 
 # After this many iterations with the gap and mu within tolerance but the
 # primal residual above feas_tol and not halving, the solve has stalled: more
-# iterations only repeat the rounding error of the Newton step.
+# iterations only repeat the rounding error of the Newton step.  A converged
+# problem whose mu has reached zero has stalled at once: its iterates have left
+# the interior by rounding, and further steps drive its residual up.
 _STALL_ITERS = 10
 
 _STEP_FRACTION = 0.98  # of the way to the boundary of the cone
@@ -91,31 +97,53 @@ def batch_size(d: int) -> int:
     return max(1, _BATCH_BYTES // (32 * (d**4 + d**2) ** 2))
 
 
-@functools.lru_cache(maxsize=None)
+def _frozen(build):
+    """Cache an array builder by its arguments; the cached arrays are read-only."""
+    @functools.lru_cache(maxsize=None)
+    @functools.wraps(build)
+    def cached(*args):
+        out = build(*args)
+        for a in out if isinstance(out, tuple) else (out,):
+            a.flags.writeable = False
+        return out
+    return cached
+
+
+@_frozen
 def _pairs(side: int):
-    """Row and column indices of the strict upper triangle, row-major (cached, read-only)."""
-    pairs = np.triu_indices(side, 1)
-    for a in pairs:
-        a.flags.writeable = False
-    return pairs
+    """Row and column indices of the strict upper triangle, row-major."""
+    return np.triu_indices(side, 1)
+
+
+@_frozen
+def _flat(side: int):
+    """Flat indices of the diagonal, the strict upper triangle and its mirror image."""
+    iu, ju = _pairs(side)
+    return np.arange(side) * (side + 1), iu * side + ju, ju * side + iu
+
+
+@_frozen
+def _eye(side: int) -> np.ndarray:
+    return np.eye(side)
 
 
 def _coords(z: np.ndarray) -> np.ndarray:
     """Orthonormal coordinates of a stack of Hermitian matrices: the diagonal,
     then sqrt(2) Re and sqrt(2) Im of the strict upper triangle."""
-    up = _SQRT2 * z[(..., *_pairs(z.shape[-1]))]
-    return np.concatenate([np.diagonal(z, axis1=-2, axis2=-1).real, up.real, up.imag], axis=-1)
+    dg, up, _ = _flat(z.shape[-1])
+    flat = z.reshape(z.shape[:-2] + (-1,))
+    u = _SQRT2 * flat[..., up]
+    return np.concatenate([flat[..., dg].real, u.real, u.imag], axis=-1)
 
 
 def _herm(c: np.ndarray, side: int) -> np.ndarray:
     """The Hermitian matrices with coordinates c (inverse of ``_coords``)."""
-    iu, ju = _pairs(side)
-    z = np.zeros(c.shape[:-1] + (side, side), dtype=complex)
-    z[..., range(side), range(side)] = c[..., :side]
-    up = (c[..., side:side + iu.size] + 1j * c[..., side + iu.size:]) / _SQRT2
-    z[..., iu, ju] = up
-    z[..., ju, iu] = up.conj()
-    return z
+    dg, up, lo = _flat(side)
+    z = np.empty(c.shape[:-1] + (side * side,), dtype=complex)
+    z[..., dg] = c[..., :side]
+    u = (c[..., side:side + up.size] + 1j * c[..., side + up.size:]) / _SQRT2
+    z[..., up], z[..., lo] = u, u.conj()
+    return z.reshape(c.shape[:-1] + (side, side))
 
 
 def _dag(a: np.ndarray) -> np.ndarray:
@@ -133,17 +161,14 @@ def _tr_out(z: np.ndarray, d: int) -> np.ndarray:
 
 def _lift(z: np.ndarray, d: int) -> np.ndarray:
     """kron(z, I_d) for a stack of d-sided matrices."""
-    return (z[..., :, None, :, None] * np.eye(d)[:, None, :]).reshape(z.shape[:-2] + (d * d, d * d))
+    return (z[..., :, None, :, None] * _eye(d)[:, None, :]).reshape(z.shape[:-2] + (d * d, d * d))
 
 
-@functools.lru_cache(maxsize=None)
+@_frozen
 def _slack_basis(d: int):
-    """A Hermitian basis b of the slack rows, (d^2, d, d), and b (x) I (cached, read-only)."""
+    """A Hermitian basis b of the slack rows, (d^2, d, d), and b (x) I."""
     basis = _herm(np.eye(d * d), d)
-    pair = (basis, _lift(basis, d))
-    for a in pair:
-        a.flags.writeable = False
-    return pair
+    return basis, _lift(basis, d)
 
 
 def _sides(d: int) -> int:
@@ -151,21 +176,41 @@ def _sides(d: int) -> int:
     return 2 * d * d + d + 1
 
 
-def _apply_a(x) -> np.ndarray:
-    """Constraint values of primal blocks x = [PQ (B, 2, n, n), H (B, d, d), mu (B, 1, 1)]."""
-    pq, h, mu = x
-    d = h.shape[-1]
-    slack = _tr_out(pq[:, 0] + pq[:, 1], d) + h - mu * np.eye(d)
+@_frozen
+def _layout(d: int):
+    """Masks of the stacked primal and dual blocks [P, Q, H (+) mu].
+
+    The three blocks share one side, max(d^2, d + 1); ``live`` marks their
+    entries, ``pad`` the diagonal of the rest, and ``cost`` selects mu.
+    """
+    n = d * d
+    side = max(n, d + 1)
+    live = np.zeros((3, side, side), dtype=bool)
+    live[:2, :n, :n] = live[2, :d, :d] = live[2, d, d] = True
+    pad = np.eye(side) * ~live
+    cost = np.zeros((3, side, side))
+    cost[2, d, d] = 1.0
+    return live, pad, cost
+
+
+def _apply_a(x: np.ndarray, d: int) -> np.ndarray:
+    """Constraint values of a stack of primal blocks (B, 3, side, side)."""
+    n = d * d
+    pq = x[:, :2, :n, :n]
+    slack = _tr_out(pq[:, 0] + pq[:, 1], d) + x[:, 2, :d, :d] - x[:, 2, d, d, None, None] * _eye(d)
     return np.concatenate([_coords(pq[:, 0] - pq[:, 1]), _coords(slack)], axis=-1)
 
 
-def _apply_at(y: np.ndarray, d: int) -> list:
-    """Adjoint of ``_apply_a``: the blocks of sum_i y_i A_i."""
-    big, z = _herm(y[:, :d**4], d * d), _herm(y[:, d**4:], d)
+def _apply_at(y: np.ndarray, d: int) -> np.ndarray:
+    """Adjoint of ``_apply_a``: the stacked blocks of sum_i y_i A_i."""
+    n = d * d
+    big, z = _herm(y[:, :d**4], n), _herm(y[:, d**4:], d)
     lifted = _lift(z, d)
-    return [np.stack([big + lifted, lifted - big], axis=1), z, -np.trace(z, axis1=1, axis2=2)[:, None, None]]
-
-
+    out = np.zeros((len(y),) + _layout(d)[0].shape, dtype=complex)
+    out[:, 0, :n, :n], out[:, 1, :n, :n] = big + lifted, lifted - big
+    out[:, 2, :d, :d] = z
+    out[:, 2, d, d] = -np.trace(z, axis1=1, axis2=2)
+    return out
 def _schur(w) -> np.ndarray:
     """Schur complements M_ij = sum_b Re tr(A_i W_b A_j W_b) of a batch."""
     w_pq, w_h, w_mu = w
@@ -196,7 +241,7 @@ def _schur(w) -> np.ndarray:
     schur[:, m_eq:, :m_eq] = _coords(wlw[:, 0] - wlw[:, 1])
     schur[:, :m_eq, m_eq:] = schur[:, m_eq:, :m_eq].swapaxes(1, 2)
     slack = _tr_out(wlw[:, 0] + wlw[:, 1], d) + w_h[:, None] @ basis @ w_h[:, None]
-    slack += (w_mu**2)[:, None] * np.trace(basis, axis1=1, axis2=2)[:, None, None] * np.eye(d)
+    slack += (w_mu**2)[:, None] * np.trace(basis, axis1=1, axis2=2)[:, None, None] * _eye(d)
     slack = _coords(slack)
     schur[:, m_eq:, m_eq:] = (slack + slack.swapaxes(1, 2)) / 2
     return schur
@@ -238,9 +283,14 @@ def _jittered(mat: np.ndarray) -> np.ndarray:
     raise np.linalg.LinAlgError("Schur complement is not positive definite")
 
 
-def _nt_scaling(x: np.ndarray, s: np.ndarray):
-    """G, G^-1 and d with G^-1 x G^-H = G^H s G = diag(d), so W = G G^H solves W s W = x."""
-    lx, ls = _cholesky(x, _clipped_root), _cholesky(s, _clipped_root)
+def _nt_scaling(x: np.ndarray, s: np.ndarray, d: int):
+    """G, G^-1 and d with G^-1 x G^-H = G^H s G = diag(d), so W = G G^H solves W s W = x.
+
+    The unused diagonal entries of x and s are set to 1 for the square roots;
+    the padding stays exactly decoupled from the blocks, so LAPACK treats
+    each block on its own scale.
+    """
+    lx, ls = _cholesky(np.stack([x, s]) + _layout(d)[1], _clipped_root)
     u, sv, vh = np.linalg.svd(_dag(ls) @ lx)
     root = 1.0 / np.sqrt(sv)
     return (lx @ _dag(vh)) * root[..., None, :], root[..., :, None] * (_dag(u) @ _dag(ls)), sv
@@ -263,34 +313,29 @@ def _solve(low: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return _lower_solve(low.swapaxes(1, 2)[:, ::-1, ::-1], half[:, ::-1])[:, ::-1, 0]
 
 
-def _per_item(a: np.ndarray, like: np.ndarray) -> np.ndarray:
-    """A per-item vector shaped to broadcast against a stacked block."""
-    return a.reshape(a.shape + (1,) * (like.ndim - 1))
-
-
-def _max_step(scaled: np.ndarray, dvals: np.ndarray) -> np.ndarray:
-    """Per item, the largest alpha with diag(d) + alpha * scaled >= 0 (inf if none)."""
+def _max_steps(dx_scaled: np.ndarray, ds_scaled: np.ndarray, dvals: np.ndarray) -> np.ndarray:
+    """Per item, the largest alpha with diag(d) + alpha * dX~ >= 0, and the same
+    for dS~ (inf if none): an array (2, B)."""
     root = 1.0 / np.sqrt(dvals)
-    lam = np.linalg.eigvalsh(_sym(scaled * root[..., :, None] * root[..., None, :]))
-    lam = lam.reshape(len(lam), -1).min(axis=1)
+    both = np.stack([dx_scaled, ds_scaled]) * (root[..., :, None] * root[..., None, :])
+    lam = np.linalg.eigvalsh(_sym(both)).reshape(2, len(dvals), -1).min(axis=2)
     with np.errstate(divide="ignore"):
         return np.where(lam >= -1e-14, np.inf, -1.0 / lam)
 
 
-def _inner(a, b) -> np.ndarray:
+def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per item, the sum over blocks of Re tr(a_b b_b)."""
-    return sum((ab.conj() * bb).real.reshape(len(ab), -1).sum(axis=1) for ab, bb in zip(a, b))
+    return (a.conj() * b).real.sum(axis=(1, 2, 3))
 
 
 def _residuals(st: dict) -> None:
     """Store the residuals, mu and objectives of the current iterates in st."""
     x, s, y, v = st["x"], st["s"], st["y"], st["v"]
-    d = x[1].shape[-1]
-    st["rd"] = rd = [-sb - ab for sb, ab in zip(s, _apply_at(y, d))]
-    rd[2] = rd[2] + 1.0  # C selects mu
-    st["rp"] = v - _apply_a(x)
+    d = st["d"]
+    st["rd"] = rd = _layout(d)[2] - s - _apply_at(y, d)
+    st["rp"] = v - _apply_a(x, d)
     st["mu"] = _inner(x, s) / _sides(d)
-    st["pobj"], st["dobj"] = x[2][:, 0, 0].real, np.einsum("bi,bi->b", v, y)
+    st["pobj"], st["dobj"] = x[:, 2, d, d].real, np.einsum("bi,bi->b", v, y)
     st["gap"] = np.abs(st["pobj"] - st["dobj"])
     st["rp_norm"] = np.linalg.norm(st["rp"], axis=1) / (1.0 + np.linalg.norm(v, axis=1))
     st["rd_norm"] = np.sqrt(_inner(rd, rd)) / 2.0  # over 1 + |C|
@@ -299,50 +344,43 @@ def _residuals(st: dict) -> None:
 def _iterate(st: dict):
     """One predictor-corrector step of every problem in the batch; returns the
     new iterates and each problem's larger step length."""
-    x, s, rd, rp, mu = st["x"], st["s"], st["rd"], st["rp"], st["mu"]
-    d = x[1].shape[-1]
-    scaling = [_nt_scaling(xb, sb) for xb, sb in zip(x, s)]
-    w = [g @ _dag(g) for g, _, _ in scaling]
-    low = _cholesky(_schur(w), _jittered)  # once, for both Newton solves
-    w_rd_w = [wb @ rdb @ wb for wb, rdb in zip(w, rd)]
+    x, s, rd, rp, mu, d = st["x"], st["s"], st["rd"], st["rp"], st["mu"], st["d"]
+    live = _layout(d)[0]
+    g, gi, dv = _nt_scaling(x, s, d)
+    w = g @ _dag(g)
+    n = d * d
+    schur = _schur((w[:, :2, :n, :n], w[:, 2, :d, :d], w[:, 2, d:d + 1, d:d + 1]))
+    low = _cholesky(schur, _jittered)  # once, for both Newton solves
+    w_rd_w = w @ rd @ w
 
     def newton(rc):
-        dy = _solve(low, rp - _apply_a([_sym(rcb - wrw) for rcb, wrw in zip(rc, w_rd_w)]))
-        ds = [rdb - atb for rdb, atb in zip(rd, _apply_at(dy, d))]
-        dx = [_sym(rcb - wb @ dsb @ wb) for rcb, wb, dsb in zip(rc, w, ds)]
-        return dx, dy, ds, [gi @ dxb @ _dag(gi) for (_, gi, _), dxb in zip(scaling, dx)], \
-            [_dag(g) @ dsb @ g for (g, _, _), dsb in zip(scaling, ds)]
+        dy = _solve(low, rp - _apply_a(_sym(rc - w_rd_w), d))
+        ds = rd - _apply_at(dy, d)
+        dx = _sym(rc - w @ ds @ w) * live
+        return dx, dy, ds, gi @ dx @ _dag(gi), _dag(g) @ ds @ g
 
-    def steps(scaled):
-        return np.minimum.reduce([_max_step(sb, dv) for sb, (_, _, dv) in zip(scaled, scaling)])
-
-    dx, _, ds, dx_scaled, ds_scaled = newton([-xb for xb in x])  # predictor
-    ap, ad = np.minimum(1.0, steps(dx_scaled)), np.minimum(1.0, steps(ds_scaled))
-    mu_aff = _inner([xb + _per_item(ap, xb) * dxb for xb, dxb in zip(x, dx)],
-                    [sb + _per_item(ad, sb) * dsb for sb, dsb in zip(s, ds)]) / _sides(d)
+    dx, _, ds, dx_scaled, ds_scaled = newton(-x)  # predictor
+    ap, ad = np.minimum(1.0, _max_steps(dx_scaled, ds_scaled, dv))
+    mu_aff = _inner(x + ap[:, None, None, None] * dx, s + ad[:, None, None, None] * ds) / _sides(d)
     sigma_mu = np.clip((np.maximum(mu_aff, 0.0) / mu) ** 3, 1e-12, 1.0) * mu
 
-    rc = []  # corrector: G (sigma mu D^-1 - (dX~ dS~ + dS~ dX~) / (d_i + d_j)) G^H - X
-    for (g, _, dv), xb, dxs, dss in zip(scaling, x, dx_scaled, ds_scaled):
-        inner = -(dxs @ dss + dss @ dxs) / (dv[..., :, None] + dv[..., None, :])
-        inner += np.eye(dv.shape[-1]) * (_per_item(sigma_mu, dv) / dv)[..., None, :]
-        rc.append(g @ inner @ _dag(g) - xb)
-    dx, dy, ds, dx_scaled, ds_scaled = newton(rc)
-    alpha_p = np.minimum(1.0, _STEP_FRACTION * steps(dx_scaled))
-    alpha_d = np.minimum(1.0, _STEP_FRACTION * steps(ds_scaled))
+    # corrector: G (sigma mu D^-1 - (dX~ dS~ + dS~ dX~) / (d_i + d_j)) G^H - X
+    inner = -(dx_scaled @ ds_scaled + ds_scaled @ dx_scaled) / (dv[..., :, None] + dv[..., None, :])
+    inner += _eye(dv.shape[-1]) * (sigma_mu[:, None, None] / dv)[..., None, :]
+    dx, dy, ds, dx_scaled, ds_scaled = newton(g @ inner @ _dag(g) - x)
+    alpha_p, alpha_d = np.minimum(1.0, _STEP_FRACTION * _max_steps(dx_scaled, ds_scaled, dv))
     new = dict(st, y=st["y"] + alpha_d[:, None] * dy)
-    new["x"] = [_sym(xb + _per_item(alpha_p, xb) * dxb) for xb, dxb in zip(x, dx)]
-    new["s"] = [_sym(sb + _per_item(alpha_d, sb) * dsb) for sb, dsb in zip(s, ds)]
+    new["x"] = _sym(x + alpha_p[:, None, None, None] * dx)
+    new["s"] = _sym(s + alpha_d[:, None, None, None] * ds)
     return new, np.maximum(alpha_p, alpha_d)
 
 
 def _take(st: dict, keep) -> dict:
-    return {k: [b[keep] for b in v] if isinstance(v, list) else v[keep] for k, v in st.items()}
+    return {k: v if k == "d" else v[keep] for k, v in st.items()}
 
 
 def _join(parts: list) -> dict:
-    return {k: [np.concatenate(blocks) for blocks in zip(*(p[k] for p in parts))]
-            if isinstance(v, list) else np.concatenate([p[k] for p in parts]) for k, v in parts[0].items()}
+    return {k: v if k == "d" else np.concatenate([p[k] for p in parts]) for k, v in parts[0].items()}
 
 
 def _lockstep(chois: np.ndarray, gap_tols: np.ndarray, feas_tol: float, max_iters: int) -> list:
@@ -351,14 +389,16 @@ def _lockstep(chois: np.ndarray, gap_tols: np.ndarray, feas_tol: float, max_iter
     v = np.concatenate([_coords(chois), np.zeros((batch, n))], axis=1)
     # infeasible start on the central ray, X = S = I: with |J|_F <= 1 no
     # coordinate of J exceeds 1, so both of its scale factors are 1
-    eye = [np.tile(np.eye(k, dtype=complex), (batch, *lead, 1, 1))
-           for k, lead in ((n, (2,)), (d, ()), (1, ()))]
-    st = {"x": eye, "s": [e.copy() for e in eye], "y": np.zeros_like(v), "v": v,
+    live = _layout(d)[0]
+    eye = np.repeat(np.eye(live.shape[-1]) * live[None], batch, axis=0).astype(complex)
+    st = {"d": d, "x": eye, "s": eye.copy(), "y": np.zeros_like(v), "v": v,
           "gap_tol": np.asarray(gap_tols, dtype=float), "index": np.arange(batch),
           "best_rp": np.full(batch, np.inf), "stalled": np.zeros(batch, dtype=int)}
     results = [None] * batch
 
     def retire(st, leaving, outcome):
+        if not leaving.any():
+            return st
         for i in np.flatnonzero(leaving):
             results[st["index"][i]] = outcome(st, i)
         return _take(st, ~leaving)
@@ -368,10 +408,11 @@ def _lockstep(chois: np.ndarray, gap_tols: np.ndarray, feas_tol: float, max_iter
                                                  float(st["rp_norm"][i]))
 
     def solution(st, i):
+        x = st["x"][i]
         return SdpSolution(
             value=0.5 * float(st["pobj"][i] + st["dobj"][i]), primal_objective=float(st["pobj"][i]),
             dual_objective=float(st["dobj"][i]), gap=float(st["gap"][i]), iterations=iteration - 1,
-            primal_blocks=[st["x"][0][i, 0], st["x"][0][i, 1], st["x"][1][i], st["x"][2][i]],
+            primal_blocks=[x[0, :n, :n], x[1, :n, :n], x[2, :d, :d], x[2, d:d + 1, d:d + 1]],
             dual_y=st["y"][i], primal_residual=float(st["rp_norm"][i]),
             dual_residual=float(st["rd_norm"][i]))
 
@@ -384,7 +425,7 @@ def _lockstep(chois: np.ndarray, gap_tols: np.ndarray, feas_tol: float, max_iter
         halved = st["rp_norm"] < 0.5 * st["best_rp"]
         st["best_rp"] = np.where(watch & halved, st["rp_norm"], st["best_rp"])
         st["stalled"] = np.where(watch, np.where(halved, 0, st["stalled"] + 1), st["stalled"])
-        st = retire(st, st["stalled"] >= _STALL_ITERS,
+        st = retire(st, (st["stalled"] >= _STALL_ITERS) | (st["centred"] & (st["mu"] <= 0)),
                     failure("primal residual stalled above the feasibility tolerance", iteration - 1))
         st = retire(st, ~np.isfinite(st["gap"] + st["rp_norm"] + st["rd_norm"]),
                     failure("linear algebra failure (non-finite iterate)", iteration - 1))

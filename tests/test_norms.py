@@ -431,3 +431,18 @@ def test_identities_suite_makes_80_solves(monkeypatch):
     report = validate_all(seed=0, suite="identities")
     assert report.passed
     assert sum(solves) == 80 and len(solves) == 20
+
+
+def test_sampling_suite_certifies_its_maps_in_one_call(monkeypatch):
+    from lindsim.harness import validate_all
+
+    solves = []
+
+    def counting(superops):
+        solves.append(len(superops))
+        return diamond_norm_solutions(superops)
+
+    monkeypatch.setattr("lindsim.norms.diamond_norm_solutions", counting)
+    report = validate_all(seed=0, suite="sampling")
+    assert report.passed
+    assert solves == [2]

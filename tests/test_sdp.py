@@ -169,7 +169,16 @@ def test_structured_schur_complement_matches_constraint_stack(d):
         assert np.max(np.abs(t.T @ schur[b] @ t - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
-@pytest.mark.parametrize("d", [2, 3])
+def _stacked(pq, h, mu):
+    """The solver's stacked blocks [P, Q, H (+) mu] of separate P, Q, H and mu blocks."""
+    d, n = h.shape[-1], pq.shape[-1]
+    side = max(n, d + 1)
+    x = np.zeros((len(h), 3, side, side), dtype=complex)
+    x[:, :2, :n, :n], x[:, 2, :d, :d], x[:, 2, d, d] = pq, h, mu[:, 0, 0]
+    return x
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
 def test_constraint_map_and_adjoint_match_constraint_stack(d):
     rng = np.random.default_rng(10 + d)
     n = d * d
@@ -177,14 +186,17 @@ def test_constraint_map_and_adjoint_match_constraint_stack(d):
     y = rng.normal(size=(2, n * n + d * d))
     problem = sdp.diamond_hp_problem(np.zeros((n, n)), d)
     t = _reference_coordinates(d)
+    at = nt._apply_at(y, d)
+    live = nt._layout(d)[0]
+    assert np.array_equal(at * live, at)  # nothing outside the blocks
     for b in range(2):
         blocks = [x[0][b, 0], x[0][b, 1], x[1][b], x[2][b]]
         dense = sum(np.einsum("irs,sr->i", a, blk).real for a, blk in zip(problem.constraints, blocks))
-        assert np.allclose(t.T @ nt._apply_a(x)[b], dense, atol=1e-12)
+        assert np.allclose(t.T @ nt._apply_a(_stacked(*x), d)[b], dense, atol=1e-12)
         y_ref = t.T @ y[b]
-        at = nt._apply_at(y, d)
-        for a, got in zip(problem.constraints, [at[0][b, 0], at[0][b, 1], at[1][b], at[2][b]]):
-            assert np.allclose(got, np.tensordot(y_ref, a, axes=1), atol=1e-12)
+        got = [at[b, 0, :n, :n], at[b, 1, :n, :n], at[b, 2, :d, :d], at[b, 2, d:d + 1, d:d + 1]]
+        for a, block in zip(problem.constraints, got):
+            assert np.allclose(block, np.tensordot(y_ref, a, axes=1), atol=1e-12)
 
 
 def _unit_chois(maps):
@@ -207,6 +219,86 @@ def test_batch_independence():
     reordered = [sol.value for sol in nt.solve_diamond(chois[order], 1e-9)]
     assert np.max(np.abs(np.subtract(alone, together))) <= 1e-9
     assert np.max(np.abs(np.subtract(np.array(alone)[order], reordered))) <= 1e-9
+
+
+def _d2_unit_chois():
+    gen = builtin_model("random", dict(d=2, m=3, seed=1))
+    return _unit_chois([term_superop(gen, k) for k in range(1, gen.m_total + 1)])
+
+
+def test_lockstep_stall_exit_ends_each_item():
+    # a feasibility tolerance below the rounding level is never met: once an
+    # item's gap has converged its residual stops falling, and it ends there
+    chois = _d2_unit_chois()
+    assert all(sol.iterations <= 15 for sol in nt.solve_diamond(chois, 1e-9))
+    results = nt.solve_diamond(chois, 1e-9, feas_tol=1e-20)
+    for err in results:
+        assert isinstance(err, SdpConvergenceError) and "stalled" in err.reason
+        assert err.iterations <= 40
+        assert err.gap <= 1e-9 and err.primal_residual > 1e-20
+
+
+def test_stall_counter_restarts_while_the_residual_halves(monkeypatch):
+    # the stopping rules alone, on scripted residuals: a converged item whose
+    # primal residual keeps halving is not stalled, however long that takes;
+    # one whose residual stops halving is, after _STALL_ITERS iterations
+    calls = []
+
+    def scripted(st):
+        k = len(calls)
+        calls.append(k)
+        zeros = np.zeros(len(st["index"]))
+        st.update(gap=zeros, mu=zeros + 1e-20, rd_norm=zeros, pobj=zeros, dobj=zeros,
+                  rp_norm=np.where(st["index"] == 0, 2.0**-k, 1e-3))
+
+    monkeypatch.setattr(nt, "_residuals", scripted)
+    monkeypatch.setattr(nt, "_iterate", lambda st: (st, np.ones(len(st["index"]))))
+    halving, flat = nt.solve_diamond(_d2_unit_chois()[:2], 1e-9, feas_tol=2.0**-30)
+    assert isinstance(halving, nt.SdpSolution) and halving.iterations == 30
+    assert isinstance(flat, SdpConvergenceError) and "stalled" in flat.reason
+    assert flat.iterations == nt._STALL_ITERS
+
+
+def test_lockstep_iteration_cap_reports_each_item():
+    chois = _d2_unit_chois()
+    results = nt.solve_diamond(chois, 1e-9, max_iters=2)
+    assert len(results) == len(chois)
+    for err in results:
+        assert isinstance(err, SdpConvergenceError)
+        assert err.reason == "no convergence within 2 iterations"
+        assert err.iterations == 2 and err.gap >= 0.0 and err.primal_residual >= 0.0
+        assert f"2 iterations, primal residual {err.primal_residual:.3e}" in str(err)
+
+
+def test_max_steps_reach_the_boundary():
+    # with d = diag(dvals), alpha is the largest step with d + alpha dX~ >= 0
+    rng = np.random.default_rng(7)
+    dvals = rng.uniform(0.5, 2.0, size=(2, 3, 4))
+    g = rng.normal(size=(2, 3, 4, 4)) + 1j * rng.normal(size=(2, 3, 4, 4))
+    dx = -(g + g.conj().swapaxes(-1, -2))
+    ds = np.zeros_like(dx)
+    ds[1, 2] = np.diag([-0.25 * dvals[1, 2, 0], 1.0, 0.0, 0.0])  # boundary at alpha = 4
+    alpha = nt._max_steps(dx, ds, dvals)
+    for b in range(2):
+        walls = [np.min(np.linalg.eigvalsh(np.diag(dvals[b, k]) + alpha[0, b] * dx[b, k])) for k in range(3)]
+        assert min(walls) == pytest.approx(0.0, abs=1e-9)
+    assert alpha[1, 0] == np.inf and alpha[1, 1] == pytest.approx(4.0)
+
+
+def test_iterates_stay_inside_their_blocks(monkeypatch):
+    # every entry outside [P, Q, H (+) mu] is exactly zero in every iterate
+    live = nt._layout(2)[0]
+    real = nt._iterate
+    inside = []
+
+    def checking(st):
+        new, alpha = real(st)
+        inside.append(all(np.array_equal(new[k] * live, new[k]) for k in ("x", "s")))
+        return new, alpha
+
+    monkeypatch.setattr(nt, "_iterate", checking)
+    assert all(isinstance(sol, nt.SdpSolution) for sol in nt.solve_diamond(_d2_unit_chois(), 1e-9))
+    assert inside and all(inside)
 
 
 def test_lockstep_batches_follow_the_byte_budget():

@@ -14,8 +14,8 @@ key ``soak`` of that JSON file.
     python3 tools/diamond_soak.py --dims 2 3 4 5 --seeds 0 1 2 \
         --bench BENCH_diamond_batch.json
 
-Reference solves at d = 5 take about a minute each; ``--reference-dims``
-limits the dimensions solved by the reference.
+Reference solves at d = 5 take about a minute each; pass fewer ``--seeds``
+or a smaller ``--terms`` for a shorter d = 5 soak.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ def soak_maps(d: int, seed: int, terms: int) -> list:
     return maps
 
 
-def soak_dimension(d: int, seeds, terms: int, reference: bool) -> dict:
+def soak_dimension(d: int, seeds, terms: int) -> dict:
     maps = [m for seed in seeds for m in soak_maps(d, seed, terms)]
     start = time.perf_counter()
     solved = diamond_norm_solutions([s for _, s in maps])
@@ -70,8 +70,6 @@ def soak_dimension(d: int, seeds, terms: int, reference: bool) -> dict:
     out["max_gap"] = max((sol.gap for _, _, sol in ok), default=None)
     out["gap_within_tol"] = all(sol.gap <= TOL.sdp_gap_tol for _, _, sol in ok)
     out["iterations"] = sum(sol.iterations for _, _, sol in ok)
-    if not reference:
-        return out
     diffs, ref_ms, ref_iters, ref_failures = [], [], 0, []
     for label, s, sol in ok:
         start = time.perf_counter()
@@ -95,20 +93,17 @@ def main(argv=None) -> int:
     parser.add_argument("--dims", type=int, nargs="+", default=[2, 3, 4, 5])
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
     parser.add_argument("--terms", type=int, default=3, help="random model m (terms incl. H)")
-    parser.add_argument("--reference-dims", type=int, nargs="*", default=None,
-                        help="dimensions also solved by the HKM reference (default: all)")
     parser.add_argument("--bench", default=None, help="JSON file to store the results in")
     args = parser.parse_args(argv)
-    ref_dims = set(args.dims if args.reference_dims is None else args.reference_dims)
 
     command = "python3 tools/diamond_soak.py " + " ".join(
         sys.argv[1:] if argv is None else argv)
     results = {}
     for d in args.dims:
-        res = soak_dimension(d, args.seeds, args.terms, d in ref_dims)
+        res = soak_dimension(d, args.seeds, args.terms)
         print(json.dumps({f"d={d}": res}), flush=True)
         results[f"d={d}"] = {"command": command, "seeds": args.seeds, "terms": args.terms,
-                             "reference": d in ref_dims, **res}
+                             **res}
     if args.bench:
         path = Path(args.bench)
         doc = json.loads(path.read_text()) if path.exists() else {}
