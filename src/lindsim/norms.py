@@ -11,8 +11,9 @@ arXiv:1207.5726):
 solved by the in-repo Nesterov-Todd interior-point method of ``lindsim.sdp``
 (no external solver).  ``diamond_norm_solutions`` certifies many maps in one
 call: maps of one dimension are solved together in lockstep batches, and
-each map keeps its own certificate or error.  ``diamond_norm`` and
-``diamond_norm_solution`` are its one-map cases.
+each map keeps its own certificate or error.  ``diamond_norm_certificates``
+raises the first map's error instead of returning it, and ``diamond_norm``
+and ``diamond_norm_solution`` are its one-map cases.
 """
 
 from __future__ import annotations

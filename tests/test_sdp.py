@@ -228,7 +228,9 @@ def _d2_unit_chois():
 
 def test_lockstep_stall_exit_ends_each_item():
     # a feasibility tolerance below the rounding level is never met: once an
-    # item's gap has converged its residual stops falling, and it ends there
+    # item's gap has converged, its residual stops falling or its mu reaches
+    # zero, and it ends there (item 0, the Hamiltonian term, reaches mu = 0;
+    # stepped on from there, its iterates leave the cone and its gap grows)
     chois = _d2_unit_chois()
     assert all(sol.iterations <= 15 for sol in nt.solve_diamond(chois, 1e-9))
     results = nt.solve_diamond(chois, 1e-9, feas_tol=1e-20)
