@@ -30,7 +30,6 @@ from .formulas import (
 )
 from .forking import (
     ForkLayout,
-    cswap_channel,
     fork_qdrift_run,
     fork_qdrift_step,
     fork_s1_run,

@@ -15,6 +15,7 @@ import numpy as np
 from .formulas import Implementation, Method, gate_count
 from .harness import (
     ConfigError,
+    batch_standard_error,
     fit_order,
     load_experiment,
     resolve_model,
@@ -25,7 +26,7 @@ from .harness import (
 )
 from .lindblad import GeneratorFormatError
 from .linalg import DensityMatrix, devectorize, trace_distance, vectorize
-from .norms import generator_stats
+from .norms import diamond_norm_certificates, generator_stats
 from .sdp import SdpConvergenceError
 
 
@@ -90,19 +91,26 @@ def _cmd_simulate(args) -> int:
     print(f"model: {spec.model}   t={spec.t}   M={stats.term_count}")
     print("exact state rho(t):")
     print(_fmt_state(rho_t))
+    points = []
     for method in spec.methods:
         if spec.n_grid:
             n = spec.n_grid[0]
         else:
             n = step_count(method, stats, spec.t, spec.epsilon_grid[0],
                            conservative=spec.conservative).n_steps
-        total, stat_err = sweep_point_channel(spec, gen, stats, method, n, t_exact)
+        points.append((method, n, *sweep_point_channel(spec, gen, stats, method, n, t_exact)))
+    # every batch-mean error map of every method, certified in one batch
+    solved = iter(diamond_norm_certificates(
+        [m for *_, batch_errors in points for m in batch_errors or ()]))
+    for method, n, total, batch_errors in points:
         rho_approx = devectorize(total @ vectorize(rho0.matrix))
         dist = trace_distance(rho_t, rho_approx)
         bound = error_bound(method, stats, spec.t, n, conservative=spec.conservative)
         physical = "cptp" if is_cptp(total) else "NOT CPTP"
-        sampled = (f" sampled R={spec.trajectories} stat_err={stat_err:.3e}"
-                   if stat_err is not None else "")
+        sampled = ""
+        if batch_errors is not None:
+            stat_err = batch_standard_error([next(solved).value for _ in batch_errors])
+            sampled = f" sampled R={spec.trajectories} stat_err={stat_err:.3e}"
         print(f"{method.value:<8} N={n:<6} trace_dist={dist:.3e} "
               f"bound/2={bound / 2:.3e}{sampled} [{physical}]")
     return 0

@@ -28,7 +28,6 @@ from .tolerances import TOL
 
 __all__ = [
     "ForkLayout",
-    "cswap_channel",
     "fork_qdrift_run",
     "fork_qdrift_step",
     "fork_s1_run",
@@ -83,12 +82,6 @@ def _cswap_perm(layout: ForkLayout, control_value: int, target_a: int, target_b:
     perm = perm.reshape(-1)
     perm.setflags(write=False)
     return perm
-
-
-def cswap_channel(layout: ForkLayout, control_value: int, target_a: int, target_b: int) -> np.ndarray:
-    """Superoperator of the controlled-SWAP unitary on the composite space."""
-    u = np.eye(layout.total_dim)[_cswap_perm(layout, control_value, target_a, target_b)]
-    return kron(u.conj(), u)
 
 
 def _on_register(rho: np.ndarray, dims: tuple, register: int, superop: np.ndarray) -> np.ndarray:

@@ -62,6 +62,7 @@ __all__ = [
     "SweepRecord",
     "ValidationReport",
     "approximation_step_channel",
+    "batch_standard_error",
     "fit_order",
     "load_experiment",
     "resolve_model",
@@ -240,7 +241,8 @@ def trajectory_batches(count: int) -> list:
     return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
 
 
-def _batch_standard_error(eps_batches) -> float:
+def batch_standard_error(eps_batches) -> float:
+    """A sampled point's stat_err: the standard error of its batch means' errors."""
     if len(eps_batches) < 2:
         return 0.0
     return float(np.std(eps_batches, ddof=1) / math.sqrt(len(eps_batches)))
@@ -248,20 +250,20 @@ def _batch_standard_error(eps_batches) -> float:
 
 def sweep_point_channel(spec: ExperimentSpec, gen: GkslGenerator, stats: GeneratorStats,
                         method: Method, n: int, t_exact: np.ndarray):
-    """Total channel of one sweep point, and its stat_err (None unless sampled).
+    """Total channel of one sweep point, and its batch-mean error maps (None
+    unless sampled).
 
     In sampled mode the channel is the mean over ``spec.trajectories``
-    schedules, and stat_err is the standard error of the diamond-norm errors
-    of the contiguous batch means, certified in one batch; otherwise it is
-    the exact mixture power.
+    schedules, and the maps are ``t_exact`` minus the mean of each contiguous
+    trajectory batch; the caller certifies them and passes their diamond
+    norms to ``batch_standard_error``.  Otherwise the channel is the exact
+    mixture power.
     """
     if spec.sampled and method in SAMPLED_METHODS:
         batches = trajectory_batches(spec.trajectories)
         sums = [trajectory_channels(method, gen, spec.t, n, spec.seed, b).sum(axis=0)
                 for b in batches]
-        eps_batches = [sol.value for sol in
-                       diamond_norm_certificates([t_exact - s / len(b) for s, b in zip(sums, batches)])]
-        return sum(sums) / spec.trajectories, _batch_standard_error(eps_batches)
+        return sum(sums) / spec.trajectories, [t_exact - s / len(b) for s, b in zip(sums, batches)]
     step = approximation_step_channel(method, gen, spec.t, n, stats.total_rate)
     return np.linalg.matrix_power(step, n), None
 
@@ -275,9 +277,11 @@ def _error_record(method: Method, n: int, exc: Exception) -> SweepRecord:
 def run_sweep(spec: ExperimentSpec, write_files: bool = True):
     """Run every method over the grid; returns records and writes the CSV.
 
-    The channels of all points come first; then the errors of all points are
-    certified in one batch.  A point's ``wall_time_ms`` is its own channel
-    time plus an equal share of that batch's solve time.
+    The channels of all points come first; then the errors of all points,
+    and of every sampled point's batch means, are certified in one batch.  A
+    point whose maps do not all certify becomes an error record.  A point's
+    ``wall_time_ms`` is its own channel time plus its maps' share of that
+    batch's solve time.
     """
     gen = resolve_model(spec)
     stats = generator_stats(gen)
@@ -296,12 +300,12 @@ def run_sweep(spec: ExperimentSpec, write_files: bool = True):
                 points.append((method, step_count(method, stats, spec.t, eps,
                                                   conservative=spec.conservative).n_steps))
 
-    records, seconds, errors = [], [], []
+    records, seconds, point_maps = [], [], []  # point_maps: (record index, maps, sampled)
     for method, n in points:
         start = time.perf_counter()
         try:
             bound = error_bound(method, stats, spec.t, n, conservative=spec.conservative)
-            total, stat_err = sweep_point_channel(spec, gen, stats, method, n, t_exact)
+            total, batch_errors = sweep_point_channel(spec, gen, stats, method, n, t_exact)
             rho_approx = devectorize(total @ vectorize(rho0.matrix))
             record = SweepRecord(
                 method=method,
@@ -314,26 +318,30 @@ def run_sweep(spec: ExperimentSpec, write_files: bool = True):
                           if method in (Method.S1_RAN, Method.QDRIFT) else None),
                 status="ok",
                 wall_time_ms=0,
-                stat_err=stat_err,
             )
-            errors.append(t_exact - total)
+            point_maps.append((len(records), [t_exact - total, *(batch_errors or ())],
+                               batch_errors is not None))
         except Exception as exc:  # recorded, run continues
             record = _error_record(method, n, exc)
         records.append(record)
         seconds.append(time.perf_counter() - start)
 
+    maps = [m for _, point, _ in point_maps for m in point]
     start = time.perf_counter()
-    solved = iter(diamond_norm_solutions(errors))
-    share = (time.perf_counter() - start) / max(1, len(errors))
-    for i, record in enumerate(records):
-        if record.status == "ok":
-            sol = next(solved)
-            seconds[i] += share
-            if isinstance(sol, Exception):
-                records[i] = _error_record(record.method, record.n, sol)
-            else:
-                record.epsilon_empirical = sol.value
-        records[i].wall_time_ms = int(round(1000 * seconds[i]))
+    solved = iter(diamond_norm_solutions(maps))
+    share = (time.perf_counter() - start) / max(1, len(maps))
+    for i, point, sampled in point_maps:
+        sols = [next(solved) for _ in point]
+        seconds[i] += share * len(point)
+        failed = [sol for sol in sols if isinstance(sol, Exception)]
+        if failed:
+            records[i] = _error_record(records[i].method, records[i].n, failed[0])
+        else:
+            records[i].epsilon_empirical = sols[0].value
+            if sampled:
+                records[i].stat_err = batch_standard_error([sol.value for sol in sols[1:]])
+    for record, sec in zip(records, seconds):
+        record.wall_time_ms = int(round(1000 * sec))
 
     if write_files:
         os.makedirs(spec.outputs, exist_ok=True)

@@ -5,9 +5,11 @@ counter: r << 128) as one (n, w) array of uniforms.  Row l is step l: the
 forward sweep if u < 0.5 (s1_ran), the permutation argsort(u) + 1 (s2_ran),
 term searchsorted(cdf, u) (qdrift).  Row l depends on neither n nor other
 trajectories: schedules are bit-reproducible, prefix-stable in n and
-order-independent.  Steps are integer codes, so a batch of trajectories is
-multiplied out from a table of its distinct step channels, one stacked
-matmul per step.
+order-independent.  One Philox bit generator serves a whole batch: after
+each row it is advanced to the next trajectory's counter.  Steps are integer
+codes, so a batch of trajectories is multiplied out from a table of the
+channels of every length-w run of its distinct steps, one stacked matmul per
+window of w steps (``_window`` picks w).
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ __all__ = [
 ]
 
 _CHUNK = 256  # trajectories multiplied out together by mixture_estimate
+_TABLE_BYTES = 1 << 22  # largest window table _products builds
+_CALL_COST = 8  # one stacked matmul call costs about as much as 8 small products in it
 
 
 @dataclass(frozen=True)
@@ -65,6 +69,21 @@ class GateSet:
             raise ValueError("step length must be positive")
 
 
+def _uniforms(seed: int, trajectories: range, n: int, width: int) -> np.ndarray:
+    """(len(trajectories), n, width) uniforms; row r is what
+    ``Generator(Philox(key=seed, counter=r << 128)).random((n, width))`` reads."""
+    if trajectories.step != 1:
+        raise ValueError(f"trajectories must be consecutive, not {trajectories!r}")
+    u = np.empty((len(trajectories), n, width))
+    bits = np.random.Philox(key=int(seed), counter=trajectories.start << 128)
+    uniforms = np.random.Generator(bits)
+    skip = (1 << 128) - -(-n * width // 4)  # a row reads n * width words, 4 per counter step
+    for row in u:
+        uniforms.random(out=row)
+        bits.advance(skip)  # to the next trajectory's counter, dropping the row's leftover words
+    return u
+
+
 def _draw(method: Method, gen: GkslGenerator, t: float, n: int, seed: int,
           trajectories: range):
     """Step length and integer step codes (one row per trajectory) of sampled schedules."""
@@ -77,9 +96,7 @@ def _draw(method: Method, gen: GkslGenerator, t: float, n: int, seed: int,
     if method not in (Method.S1_RAN, Method.S2_RAN, Method.QDRIFT):
         raise ValueError(f"gate sets exist only for the sampled methods, not {method.value}")
     m = gen.m_total
-    width = m if method == Method.S2_RAN else 1
-    u = np.array([np.random.Generator(np.random.Philox(key=int(seed), counter=r << 128))
-                  .random((n, width)) for r in trajectories]).reshape(len(trajectories), n, width)
+    u = _uniforms(seed, trajectories, n, m if method == Method.S2_RAN else 1)
     if method == Method.S1_RAN:
         return t / n, (u[..., 0] >= 0.5).astype(np.int64)  # 0: forward, 1: reversed
     if method == Method.S2_RAN:  # permutation digits in base m; int64 holds m**m for m < 16
@@ -128,14 +145,56 @@ def _step_channel(step, gen: GkslGenerator, dt: float) -> np.ndarray:
     raise TypeError(f"unknown channel step {step!r}")
 
 
+def _window(k: int, n: int, batch: int, d2: int) -> int:
+    """Window length w that multiplies out ``batch`` n-step schedules over k
+    distinct steps with the fewest small products, counting _CALL_COST per call.
+
+    The window table costs sum_{j=2..w} (k**j + _CALL_COST) and holds k**w
+    channels, at most _TABLE_BYTES of them; each trajectory then takes
+    n // w - 1 window products and n % w single steps.  w = 1 builds nothing,
+    so the table never costs more than it saves.
+    """
+    limit = _TABLE_BYTES // (32 * d2 * d2)  # real form: 4 d2**2 doubles an entry
+    best, best_cost = 1, (n - 1) * (batch + _CALL_COST)
+    w, entries, build = 2, k * k, k * k + _CALL_COST
+    while w <= n and entries <= limit and build < best_cost:  # build only grows with w
+        q, r = divmod(n, w)
+        cost = build + (q - 1 + r) * (batch + _CALL_COST)
+        if cost < best_cost:
+            best, best_cost = w, cost
+        w, entries = w + 1, entries * k
+        build += entries + _CALL_COST
+    return best
+
+
 def _products(steps, index: np.ndarray, gen: GkslGenerator, dt: float) -> np.ndarray:
-    """Channels of schedules given as rows of indices into ``steps``; column 0 acts first."""
+    """Channels of schedules given as rows of indices into ``steps``; column 0 acts first.
+
+    Entry s_0 + s_1 k + ... + s_{w-1} k**(w-1) of the window table is the
+    channel of steps s_0, ..., s_{w-1}, s_0 first; full windows are multiplied
+    out one stacked matmul each, then the last n % w steps one at a time.
+    """
     d2 = gen.dim**2
     table = np.array([_step_channel(s, gen, dt) for s in steps], dtype=complex).reshape(-1, d2, d2)
-    total = np.broadcast_to(np.eye(d2, dtype=complex), (len(index), d2, d2)).copy()
-    for column in index.T:
+    batch, n = index.shape
+    if n == 0:
+        return np.broadcast_to(np.eye(d2, dtype=complex), (batch, d2, d2)).copy()
+    # real form [[Re, -Im], [Im, Re]]: real 2d^2-sided products are cheaper than
+    # complex d^2-sided ones, and a running product needs only its first block column
+    table = np.block([[table.real, -table.imag], [table.imag, table.real]])
+    k = len(table)
+    w = _window(k, n, batch, d2)
+    windows = table
+    for _ in range(w - 1):
+        windows = (table[:, None] @ windows[None]).reshape(-1, 2 * d2, 2 * d2)
+    full = n - n % w
+    codes = index[:, :full].reshape(batch, -1, w) @ k ** np.arange(w)
+    total = windows[codes[:, 0], :, :d2]
+    for column in codes.T[1:]:
+        total = windows[column] @ total
+    for column in index.T[full:]:
         total = table[column] @ total
-    return total
+    return total[:, :d2] + 1j * total[:, d2:]
 
 
 def gateset_channel(gs: GateSet, gen: GkslGenerator) -> np.ndarray:

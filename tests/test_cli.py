@@ -164,6 +164,23 @@ def test_simulate_reports_the_sampled_channel(tmp_path, capsys):
     assert printed != pytest.approx(exact, rel=2e-3)
 
 
+def test_simulate_certifies_every_batch_mean_in_one_batch(tmp_path, capsys, monkeypatch):
+    import lindsim.norms as norms
+
+    real = norms.solve_diamond
+    batches = []
+    monkeypatch.setattr(norms, "solve_diamond",
+                        lambda chois, *a, **k: batches.append(len(chois)) or real(chois, *a, **k))
+    path = tmp_path / "sampled.ini"
+    path.write_text(SAMPLED_CONFIG.replace("methods = qdrift", "methods = s1_ran s2_ran qdrift")
+                    .format(seed=5, out=tmp_path / "out"))
+    assert main(["simulate", str(path)]) == 0
+    assert batches == [3, 3 * 8]  # generator_stats, then every method's batch means
+    lines = [l for l in capsys.readouterr().out.splitlines() if "sampled R=40 stat_err=" in l]
+    assert [l.split()[0] for l in lines] == ["s1_ran", "s2_ran", "qdrift"]
+    assert all(float(l.split("stat_err=")[1].split()[0]) > 0 for l in lines)
+
+
 def test_cli_imports_no_scipy():
     # a CLI process loads numpy alone; scipy is a test-only oracle
     import os

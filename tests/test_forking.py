@@ -3,7 +3,7 @@ import pytest
 
 from lindsim.forking import (
     ForkLayout,
-    cswap_channel,
+    _cswap_perm,
     fork_qdrift_run,
     fork_qdrift_step,
     fork_s1_run,
@@ -47,6 +47,12 @@ def states(d):
 # The circuit written out gate by gate on the D^2-sided superoperator space:
 # controlled-SWAP unitaries built basis state by basis state, branch channels
 # as exponentials of the generator embedded into the composite space.
+
+
+def cswap_channel(layout, control_value, target_a, target_b):
+    """Superoperator of the controlled-SWAP unitary, from the blocks' index permutation."""
+    u = np.eye(layout.total_dim)[_cswap_perm(layout, control_value, target_a, target_b)]
+    return kron(u.conj(), u)
 
 
 def loop_cswap_channel(layout, control_value, target_a, target_b):

@@ -8,6 +8,7 @@ from lindsim.harness import (
     ConfigError,
     ExperimentSpec,
     SweepRecord,
+    batch_standard_error,
     fit_order,
     load_experiment,
     resolve_model,
@@ -178,17 +179,80 @@ def test_trajectory_batches_are_contiguous_and_near_equal():
 
 def test_sampled_point_is_the_trajectory_mean():
     from lindsim.lindblad import exact_channel
-    from lindsim.norms import generator_stats
-    from lindsim.sampling import mixture_estimate
+    from lindsim.norms import diamond_norm_certificates, generator_stats
+    from lindsim.sampling import mixture_estimate, trajectory_channels
 
     spec = ExperimentSpec(model="random d=2 m=3 seed=7", methods=(Method.S2_RAN,), t=1.0,
                           n_grid=(6,), seed=3, trajectories=15, sampled=True)
     gen = resolve_model(spec)
-    total, stat_err = sweep_point_channel(spec, gen, generator_stats(gen), Method.S2_RAN, 6,
-                                          exact_channel(gen, 1.0))
+    t_exact = exact_channel(gen, 1.0)
+    total, batch_errors = sweep_point_channel(spec, gen, generator_stats(gen), Method.S2_RAN, 6,
+                                              t_exact)
+    # one error map per contiguous batch: t_exact minus that batch's mean channel
+    batches = trajectory_batches(15)
+    assert len(batch_errors) == len(batches)
+    for err, b in zip(batch_errors, batches):
+        mean = trajectory_channels(Method.S2_RAN, gen, 1.0, 6, 3, b).mean(axis=0)
+        assert np.max(np.abs(err - (t_exact - mean))) <= 1e-12
+    stat_err = batch_standard_error([sol.value for sol in diamond_norm_certificates(batch_errors)])
     assert stat_err > 0
     expected = mixture_estimate(Method.S2_RAN, gen, 1.0, 6, r_samples=15, seed=3)
     assert np.max(np.abs(total - expected)) <= 1e-12
+
+
+def test_sampled_sweep_certifies_batch_means_with_the_points(monkeypatch):
+    # generator_stats is one batch; every point's error and its 8 batch-mean
+    # errors are the other; stat_err comes from those certificates
+    import lindsim.norms as norms
+    from lindsim.lindblad import exact_channel
+    from lindsim.norms import diamond_norm_certificates, generator_stats
+
+    spec = ExperimentSpec(model="random d=2 m=3 seed=7", methods=(Method.S1_RAN, Method.QDRIFT),
+                          t=1.0, n_grid=(4, 8), seed=5, trajectories=32, sampled=True)
+    real = norms.solve_diamond
+    batches = []
+    monkeypatch.setattr(norms, "solve_diamond",
+                        lambda chois, *a, **k: batches.append(len(chois)) or real(chois, *a, **k))
+    records = run_sweep(spec, write_files=False)
+    assert batches == [3, 4 * 9]
+    gen = resolve_model(spec)
+    t_exact = exact_channel(gen, 1.0)
+    for r in records:
+        assert r.status == "ok"
+        total, batch_errors = sweep_point_channel(spec, gen, generator_stats(gen), r.method, r.n,
+                                                  t_exact)
+        sols = diamond_norm_certificates([t_exact - total, *batch_errors])
+        assert r.epsilon_empirical == pytest.approx(sols[0].value, abs=1e-9)
+        assert r.stat_err == pytest.approx(batch_standard_error([s.value for s in sols[1:]]),
+                                           abs=1e-9)
+        assert r.stat_err > 0
+
+
+def test_failed_batch_mean_solve_fails_only_its_point(monkeypatch):
+    # one batch-mean map of the second point does not certify: that point
+    # becomes an error record naming method and N, the others stay ok
+    import lindsim.harness as harness
+    from lindsim.sdp import SdpConvergenceError
+
+    spec = ExperimentSpec(model="random d=2 m=3 seed=7", methods=(Method.QDRIFT,), t=1.0,
+                          n_grid=(4, 8, 16), seed=2, trajectories=16, sampled=True)
+    clean = run_sweep(spec, write_files=False)
+    real = harness.diamond_norm_solutions
+
+    def failing(maps):
+        solved = real(maps)
+        assert len(maps) == 3 * 9  # per point: its error, then its 8 batch means
+        solved[9 + 4] = SdpConvergenceError("forced failure", 1.0, 7)
+        return solved
+
+    monkeypatch.setattr(harness, "diamond_norm_solutions", failing)
+    records = run_sweep(spec, write_files=False)
+    assert records[1].status.startswith("error: qdrift N=8: forced failure")
+    assert np.isnan(records[1].epsilon_empirical) and records[1].stat_err is None
+    for i in (0, 2):
+        assert records[i].status == "ok"
+        assert records[i].epsilon_empirical == clean[i].epsilon_empirical
+        assert records[i].stat_err == clean[i].stat_err
 
 
 def test_exact_point_is_the_mixture_power():
@@ -199,9 +263,9 @@ def test_exact_point_is_the_mixture_power():
                           n_grid=(6,), seed=3)
     gen = resolve_model(spec)
     stats = generator_stats(gen)
-    total, stat_err = sweep_point_channel(spec, gen, stats, Method.QDRIFT, 6, None)
+    total, batch_errors = sweep_point_channel(spec, gen, stats, Method.QDRIFT, 6, None)
     step = approximation_step_channel(Method.QDRIFT, gen, 1.0, 6, stats.total_rate)
-    assert stat_err is None
+    assert batch_errors is None
     assert np.array_equal(total, np.linalg.matrix_power(step, 6))
 
 

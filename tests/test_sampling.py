@@ -1,8 +1,11 @@
+import contextlib
+import signal
+
 import numpy as np
 import pytest
 
 from lindsim.formulas import Direction, Method, qdrift_exact, s1_dir, s2_ran_exact, s2_sigma
-from lindsim.lindblad import GkslGenerator, is_cptp
+from lindsim.lindblad import GkslGenerator, constituent_channel, is_cptp
 from lindsim.linalg import DensityMatrix, devectorize, vectorize
 from lindsim.models import builtin_model
 from lindsim.norms import diamond_norm
@@ -18,6 +21,7 @@ from lindsim.sampling import (
     sample_gateset,
     trajectory_channels,
 )
+from lindsim.sampling import _draw, _uniforms, _window
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
@@ -259,3 +263,105 @@ def test_trajectory_batches_share_term_exponentials(method, monkeypatch):
     assert len(calls) == after_first
     whole = trajectory_channels(method, g, 1.0, 6, 4, range(64))
     assert np.max(np.abs(np.concatenate([first] + rest) - whole)) <= 1e-12
+
+
+# --- one Philox per batch, windowed products ---------------------------------
+
+
+def loop_product(gs, gen):
+    """The schedule's channel multiplied out one step at a time (the reference)."""
+    total = np.eye(gen.dim**2, dtype=complex)
+    for step in gs.steps:
+        if isinstance(step, S1Block):
+            chan = s1_dir(gen, gs.dt, step.direction)
+        elif isinstance(step, S2Block):
+            chan = s2_sigma(gen, gs.dt, step.perm)
+        else:
+            chan = constituent_channel(gen, step.k, gs.dt, with_rate=step.with_rate)
+        total = chan @ total
+    return total
+
+
+def assert_matches_loop(method, g, n, seed, trajectories):
+    stacked = trajectory_channels(method, g, 1.0, n, seed, trajectories)
+    for row, r in zip(stacked, trajectories):
+        expected = loop_product(draw_gateset(method, g, 1.0, n, seed, trajectory=r), g)
+        assert np.max(np.abs(row - expected)) <= 1e-12
+
+
+@contextlib.contextmanager
+def hard_timeout(seconds):
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_single_step_kind_windows_terminate_and_match_the_loop():
+    # QDRIFT over one term: k = 1 distinct step, so every window table has one entry
+    single = GkslGenerator(dim=2, hamiltonian=SZ, terms=())
+    with hard_timeout(20):
+        for n in (1, 7, 64, 10_000):
+            assert _window(1, n, 16, 4) <= n
+            stacked = trajectory_channels(Method.QDRIFT, single, 1.0, n, 3, range(16))
+            expected = np.linalg.matrix_power(constituent_channel(single, 1, 1.0 / n,
+                                                                  with_rate=False), n)
+            assert np.max(np.abs(stacked - expected)) <= 1e-12
+        assert_matches_loop(Method.QDRIFT, single, 40, 3, range(2))
+
+
+@pytest.mark.parametrize("method", SAMPLED)
+def test_one_step_schedules_match_the_loop(gen, method):
+    assert_matches_loop(method, gen, 1, 7, range(5))
+
+
+@pytest.mark.parametrize("method", SAMPLED)
+@pytest.mark.parametrize("d", [2, 3])
+def test_windowed_products_match_the_loop(method, d):
+    # n = 61 leaves a remainder for the window _products picks
+    g = builtin_model("random", dict(d=d, m=3, seed=4))
+    k = len(np.unique(_draw(method, g, 1.0, 61, 11, range(128))[1]))
+    w = _window(k, 61, 128, d * d)
+    assert 1 < w and 61 % w
+    assert_matches_loop(method, g, 61, 11, range(128))
+
+
+def test_long_schedules_match_the_loop(gen):
+    assert _window(2, 10_000, 3, 4) > 1
+    assert_matches_loop(Method.S1_RAN, gen, 10_000, 1, range(3))
+
+
+def test_permutation_codes_beyond_int64_match_the_loop():
+    big = builtin_model("random", dict(d=2, m=17, seed=1))
+    assert_matches_loop(Method.S2_RAN, big, 5, 2, range(3))
+
+
+def test_window_table_stays_within_its_budget():
+    for k, d2 in ((2, 4), (6, 4), (3, 9), (24, 16), (5000, 4)):
+        w = _window(k, 10_000, 1024, d2)
+        assert w == 1 or k**w * 4 * d2 * d2 * 8 <= 1 << 22  # real form: 4 d2**2 doubles
+
+
+@pytest.mark.parametrize("seed, start, n, width", [
+    (17, 0, 12, 1),           # a batch from 0
+    (17, 128, 7, 3),          # a batch from 128; n * width = 21 leaves a partial block
+    (2**64 - 1, 128, 5, 1),   # the largest seed; 5 words leave a partial block
+    (9, 3, 4, 17),            # width m = 17
+])
+def test_batch_uniforms_are_the_per_trajectory_streams(seed, start, n, width):
+    trajectories = range(start, start + 128)
+    u = _uniforms(seed, trajectories, n, width)
+    for row, r in zip(u, trajectories):
+        fresh = np.random.Generator(np.random.Philox(key=seed, counter=r << 128)).random((n, width))
+        assert np.array_equal(row, fresh)
+
+
+def test_draws_need_consecutive_trajectories(gen):
+    with pytest.raises(ValueError, match="consecutive"):
+        trajectory_channels(Method.QDRIFT, gen, 1.0, 4, 0, range(0, 8, 2))
