@@ -12,20 +12,22 @@ import sys
 
 import numpy as np
 
-from .formulas import Implementation, Method, gate_count
+from .formulas import Implementation, Method, error_bound, gate_count
 from .harness import (
     ConfigError,
     batch_standard_error,
     fit_order,
+    initial_state,
     load_experiment,
+    point_steps,
     resolve_model,
     run_sweep,
     sweep_point_channel,
     table1_report,
     validate_all,
 )
-from .lindblad import GeneratorFormatError
-from .linalg import DensityMatrix, devectorize, trace_distance, vectorize
+from .lindblad import GeneratorFormatError, exact_channel, is_cptp
+from .linalg import devectorize, trace_distance, vectorize
 from .norms import diamond_norm_certificates, generator_stats
 from .sdp import SdpConvergenceError
 
@@ -81,24 +83,16 @@ def _cmd_simulate(args) -> int:
     spec = load_experiment(args.config)
     gen = resolve_model(spec)
     stats = generator_stats(gen)
-    from .formulas import error_bound, step_count
-    from .lindblad import exact_channel, is_cptp
-
-    rho0 = (DensityMatrix.ground(gen.dim) if spec.initial_state == "ground"
-            else DensityMatrix.maximally_mixed(gen.dim))
+    rho0 = initial_state(spec, gen.dim)
     t_exact = exact_channel(gen, spec.t)
     rho_t = devectorize(t_exact @ vectorize(rho0.matrix))
     print(f"model: {spec.model}   t={spec.t}   M={stats.term_count}")
     print("exact state rho(t):")
     print(_fmt_state(rho_t))
     points = []
-    for method in spec.methods:
-        if spec.n_grid:
-            n = spec.n_grid[0]
-        else:
-            n = step_count(method, stats, spec.t, spec.epsilon_grid[0],
-                           conservative=spec.conservative).n_steps
-        points.append((method, n, *sweep_point_channel(spec, gen, stats, method, n, t_exact)))
+    for method in spec.methods:  # the first grid value only
+        n = point_steps(spec, stats, method, spec.grid[0])
+        points.append((method, n, *sweep_point_channel(spec, gen, method, n, t_exact)))
     # every batch-mean error map of every method, certified in one batch
     solved = iter(diamond_norm_certificates(
         [m for *_, batch_errors in points for m in batch_errors or ()]))

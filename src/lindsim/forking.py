@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .formulas import Direction, qdrift_probs, s1_dir
+from .formulas import METHODS, Direction, Method, qdrift_probs, s1_dir
 from .lindblad import GkslGenerator, constituent_channel
 from .linalg import DensityMatrix, kron, partial_trace
 from .tolerances import TOL
@@ -33,6 +33,8 @@ __all__ = [
     "fork_s1_run",
     "fork_s1_step",
 ]
+
+_S1_RAN, _QDRIFT = METHODS[Method.S1_RAN], METHODS[Method.QDRIFT]  # the methods a fork realises
 
 
 @dataclass(frozen=True)
@@ -154,7 +156,8 @@ def fork_s1_run(gen: GkslGenerator, t: float, n: int, rho0, rho_phi) -> DensityM
     """n fork blocks with control/work re-preparation between blocks."""
     if n < 1:
         raise ValueError("step count must be a positive integer")
-    return _run(_s1_block(gen, t / n), n, rho0, rho_phi, "initial state")
+    dt = _S1_RAN.step_length(gen, t, n)
+    return _run(_s1_block(gen, dt), n, rho0, rho_phi, "initial state")
 
 
 def fork_qdrift_step(gen: GkslGenerator, omega: float, rho_sys, rho_phi) -> DensityMatrix:
@@ -163,8 +166,8 @@ def fork_qdrift_step(gen: GkslGenerator, omega: float, rho_sys, rho_phi) -> Dens
 
 
 def fork_qdrift_run(gen: GkslGenerator, t: float, n: int, rho0, rho_phi) -> DensityMatrix:
-    """n QDRIFT fork blocks at step length t * total_rate / n."""
+    """n QDRIFT fork blocks at QDRIFT's step length t * total_rate / n."""
     if n < 1:
         raise ValueError("step count must be a positive integer")
-    omega = t * float(np.sum(gen.rates)) / n
+    omega = _QDRIFT.step_length(gen, t, n)
     return _run(_qdrift_block(gen, omega), n, rho0, rho_phi, "initial state")

@@ -1,4 +1,7 @@
-"""Approximation channels, step/error-bound calculators and gate counters.
+"""Approximation channels, the method registry, step/error bounds and gate counts.
+
+``METHODS`` holds one record per method: what the method is, everywhere in
+the package, is read from it (see ``MethodRecord``).
 
 Product-order convention (pinned by the entrywise tests): in a forward sweep
 the k = 1 constituent channel is applied to the state first, so as a matrix
@@ -10,9 +13,11 @@ reversed half-step sweep.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -23,8 +28,14 @@ from .tolerances import TOL
 __all__ = [
     "Direction",
     "Implementation",
+    "METHODS",
     "Method",
+    "MethodRecord",
+    "S1Block",
+    "S2Block",
+    "Sampler",
     "StepBound",
+    "TermExp",
     "GATE_COMPLEXITY",
     "error_bound",
     "gate_count",
@@ -139,6 +150,152 @@ def qdrift_exact(gen: GkslGenerator, omega: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# The method registry, and the steps a sampled schedule is made of
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class S1Block:
+    direction: Direction
+
+    def channel(self, gen: GkslGenerator, dt: float) -> np.ndarray:
+        return s1_dir(gen, dt, self.direction)
+
+
+@dataclass(frozen=True)
+class S2Block:
+    perm: tuple  # permutation of 1..M, first entry applied first
+
+    def channel(self, gen: GkslGenerator, dt: float) -> np.ndarray:
+        return s2_sigma(gen, dt, self.perm)
+
+
+@dataclass(frozen=True)
+class TermExp:
+    k: int
+    with_rate: bool = True
+
+    def channel(self, gen: GkslGenerator, dt: float) -> np.ndarray:
+        return constituent_channel(gen, self.k, dt, with_rate=self.with_rate)
+
+
+@dataclass(frozen=True)
+class Sampler:
+    """How a randomised method draws a step: ``width(m)`` uniforms per step,
+    ``codes(u, gen)`` maps the (..., width) uniforms to integer step codes,
+    and ``step(code, m)`` is the schedule step a code stands for."""
+
+    width: Callable
+    codes: Callable
+    step: Callable
+
+
+@dataclass(frozen=True)
+class MethodRecord:
+    """Everything that distinguishes one method.
+
+    ``bound(stats, t, n, conservative)`` is the large-N error bound, of order
+    ``order`` in 1/n, and ``growth(stats, t, n)`` the exponent that
+    ``with_exp_factor`` restores.  ``channel(gen, dt)`` is the exact one-step
+    (mixture) channel at step length ``step_length(gen, t, n)``.  Gate counts
+    are per step and functions of M; ``gates_qf`` is None where forking is
+    undefined.  The channel functions are looked up by name at call time, so
+    a re-bound module attribute (a tracer, a test double) is what runs.
+    """
+
+    label: str
+    order: int
+    bound: Callable
+    growth: Callable
+    channel: Callable
+    step_length: Callable
+    gates_cs: Callable
+    gates_qf: Callable | None
+    complexity_cs: str
+    complexity_qf: str | None
+    sampler: Sampler | None = None  # None for the deterministic methods
+
+    def step_channel(self, gen: GkslGenerator, t: float, n: int) -> np.ndarray:
+        """Exact one-step channel of an n-step schedule over time t."""
+        return self.channel(gen, self.step_length(gen, t, n))
+
+
+def _sweep_growth(stats: GeneratorStats, t: float, n: int) -> float:
+    return stats.term_count * t * stats.max_scaled_norm / n
+
+
+def _second_order_bound(stats: GeneratorStats, t: float, n: int, conservative: bool) -> float:
+    return (stats.term_count * t * stats.max_scaled_norm) ** 3 / (3 * n**2)
+
+
+def _permutation_codes(u: np.ndarray, gen: GkslGenerator) -> np.ndarray:
+    """argsort(u) + 1 as its digits in base m; int64 holds m**m for m < 16."""
+    m = gen.m_total
+    digits = np.array([m**j for j in range(m - 1, -1, -1)], dtype=np.int64 if m < 16 else object)
+    return np.argsort(u, axis=-1, kind="stable") @ digits
+
+
+def _term_codes(u: np.ndarray, gen: GkslGenerator) -> np.ndarray:
+    """Rate-weighted term draw: code k - 1 for term k, by inverse-CDF lookup."""
+    cdf = np.cumsum(qdrift_probs(gen))
+    return np.minimum(np.searchsorted(cdf, u[..., 0], side="right"), gen.m_total - 1)
+
+
+METHODS = {
+    Method.S1_DET: MethodRecord(
+        label="First-order deterministic", order=1,
+        bound=lambda s, t, n, c: (t * s.max_scaled_norm * s.term_count) ** 2 / n,
+        growth=_sweep_growth,
+        channel=lambda gen, dt: s1_dir(gen, dt, Direction.FORWARD),
+        step_length=lambda gen, t, n: t / n,
+        gates_cs=lambda m: m, gates_qf=None,
+        complexity_cs="O((tΛ)²M³/ε)", complexity_qf=None),
+    Method.S2_DET: MethodRecord(
+        label="Second-order deterministic", order=2,
+        bound=_second_order_bound, growth=_sweep_growth,
+        channel=lambda gen, dt: s2_det(gen, dt),
+        step_length=lambda gen, t, n: t / n,
+        gates_cs=lambda m: 2 * m, gates_qf=None,
+        complexity_cs="O((tΛ)^(3/2)M^(5/2)/√(3ε))", complexity_qf=None),
+    Method.S1_RAN: MethodRecord(
+        label="First-order randomised", order=2,
+        bound=_second_order_bound, growth=_sweep_growth,
+        channel=lambda gen, dt: s1_ran_exact(gen, dt),
+        step_length=lambda gen, t, n: t / n,
+        gates_cs=lambda m: m, gates_qf=lambda m: 2 * m + 2,
+        complexity_cs="O((tΛ)^(3/2)M^(5/2)/√(3ε))",
+        complexity_qf="O((tΛ)^(3/2)M^(5/2)/√(3ε))",
+        sampler=Sampler(
+            width=lambda m: 1,  # code 0: forward sweep, 1: reversed
+            codes=lambda u, gen: (u[..., 0] >= 0.5).astype(np.int64),
+            step=lambda code, m: S1Block(Direction.REVERSED if code else Direction.FORWARD))),
+    Method.S2_RAN: MethodRecord(
+        label="Second-order randomised", order=2,
+        bound=lambda s, t, n, c: (
+            ((2.0 if c else 1.0) * s.max_scaled_norm * t) ** 3 * s.term_count**2 / n**2),
+        growth=_sweep_growth,
+        channel=lambda gen, dt: s2_ran_exact(gen, dt),
+        step_length=lambda gen, t, n: t / n,
+        gates_cs=lambda m: 2 * m, gates_qf=None,
+        complexity_cs="O((tΛ)^(3/2)M²/√ε)", complexity_qf=None,
+        sampler=Sampler(
+            width=lambda m: m, codes=_permutation_codes,
+            step=lambda code, m: S2Block(tuple(1 + code // m**j % m for j in range(m - 1, -1, -1))))),
+    Method.QDRIFT: MethodRecord(
+        label="QDRIFT", order=1,
+        bound=lambda s, t, n, c: (t * s.total_rate * s.max_bare_norm) ** 2 / n,
+        growth=lambda s, t, n: t * s.total_rate * s.max_bare_norm / n,
+        channel=lambda gen, omega: qdrift_exact(gen, omega),
+        step_length=lambda gen, t, n: t * float(np.sum(gen.rates)) / n,
+        gates_cs=lambda m: 1, gates_qf=lambda m: 3 * m - 2,
+        complexity_cs="O((tΓΩ)²/ε)", complexity_qf="O((tΓΩ)²M/ε)",
+        sampler=Sampler(
+            width=lambda m: 1, codes=_term_codes,
+            step=lambda code, m: TermExp(k=code + 1, with_rate=False))),
+}
+
+
+# ---------------------------------------------------------------------------
 # Step counts and error bounds
 # ---------------------------------------------------------------------------
 
@@ -149,52 +306,30 @@ class StepBound:
 
     n_steps: int
     epsilon_bound: float
-    stats: GeneratorStats
-    t: float
-
-    @property
-    def tau(self) -> float:
-        return self.t / self.n_steps
-
-    @property
-    def omega(self) -> float:
-        return self.t * self.stats.total_rate / self.n_steps
-
-
-def _steps_lower_bound(method: Method, stats: GeneratorStats, t: float, epsilon: float,
-                       conservative: bool) -> float:
-    lam = stats.max_scaled_norm
-    m = stats.term_count
-    if method == Method.S1_DET:
-        return (t * lam * m) ** 2 / epsilon
-    if method in (Method.S2_DET, Method.S1_RAN):
-        return (t * lam * m) ** 1.5 / math.sqrt(3 * epsilon)
-    if method == Method.S2_RAN:
-        factor = 2.0 if conservative else 1.0
-        return (factor * lam * t) ** 1.5 * m / math.sqrt(epsilon)
-    if method == Method.QDRIFT:
-        return (t * stats.total_rate * stats.max_bare_norm) ** 2 / epsilon
-    raise ValueError(f"unknown method {method!r}")
 
 
 def step_count(method: Method, stats: GeneratorStats, t: float, epsilon: float,
                conservative: bool = False) -> StepBound:
-    """Smallest step count guaranteeing precision ``epsilon`` (exact ceiling).
+    """Smallest step count N with ``error_bound(N) <= epsilon``.
 
-    ``conservative`` switches the second-order randomised formula to the
-    larger constant (see README on bound variants).
+    The search starts at the closed-form root (bound(1) / epsilon)**(1/p) of
+    a bound of order p and steps down or up by one: the root's rounding
+    alone can put its ceiling one step off.  ``conservative`` switches the
+    second-order randomised formula to the larger constant (see README on
+    bound variants).
     """
     if t <= 0:
         raise ValueError("simulation time must be positive")
     if epsilon <= 0:
         raise ValueError("target precision must be positive")
-    n = max(1, math.ceil(_steps_lower_bound(method, stats, t, epsilon, conservative)))
-    return StepBound(
-        n_steps=n,
-        epsilon_bound=error_bound(method, stats, t, n, conservative=conservative),
-        stats=stats,
-        t=t,
-    )
+
+    bound = functools.partial(error_bound, method, stats, t, conservative=conservative)
+    n = max(1, math.ceil((bound(1) / epsilon) ** (1 / METHODS[method].order)))
+    if n > 1 and bound(n - 1) <= epsilon:
+        n -= 1
+    elif bound(n) > epsilon:
+        n += 1
+    return StepBound(n_steps=n, epsilon_bound=bound(n))
 
 
 def error_bound(method: Method, stats: GeneratorStats, t: float, n: int,
@@ -207,68 +342,36 @@ def error_bound(method: Method, stats: GeneratorStats, t: float, n: int,
     """
     if n < 1:
         raise ValueError("step count must be a positive integer")
-    lam = stats.max_scaled_norm
-    m = stats.term_count
-    if method == Method.S1_DET:
-        bound = (t * lam * m) ** 2 / n
-        growth = m * t * lam / n
-    elif method in (Method.S2_DET, Method.S1_RAN):
-        bound = (m * t * lam) ** 3 / (3 * n**2)
-        growth = m * t * lam / n
-    elif method == Method.S2_RAN:
-        factor = 2.0 if conservative else 1.0
-        bound = (factor * lam * t) ** 3 * m**2 / n**2
-        growth = m * t * lam / n
-    elif method == Method.QDRIFT:
-        scale = t * stats.total_rate * stats.max_bare_norm
-        bound = scale**2 / n
-        growth = scale / n
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return bound * math.exp(growth) if with_exp_factor else bound
+    record = METHODS[method]
+    bound = record.bound(stats, t, n, conservative)
+    return bound * math.exp(record.growth(stats, t, n)) if with_exp_factor else bound
 
 
 # ---------------------------------------------------------------------------
 # Gate counting
 # ---------------------------------------------------------------------------
 
-_CS_COUNTS = {
-    Method.S1_DET: lambda m, n: n * m,
-    Method.S2_DET: lambda m, n: 2 * n * m,
-    Method.S1_RAN: lambda m, n: n * m,
-    Method.S2_RAN: lambda m, n: 2 * n * m,
-    Method.QDRIFT: lambda m, n: n,
-}
-
-_QF_COUNTS = {
-    Method.S1_RAN: lambda m, n: (2 * m + 2) * n,
-    Method.QDRIFT: lambda m, n: (3 * m - 2) * n,
-}
-
 
 def gate_count(method: Method, m: int, n: int, impl: Implementation) -> int:
     """Number of simple channels used by a length-n schedule."""
     if m < 1 or n < 1:
         raise ValueError("term count and step count must be positive")
-    if impl == Implementation.CS:
-        return _CS_COUNTS[method](m, n)
-    if method == Method.S2_RAN:
-        raise ValueError(
-            "quantum forking of the second-order randomised formula needs "
-            "2*(M!) controlled-SWAP channels and is refused as infeasible"
-        )
-    if method not in _QF_COUNTS:
-        raise ValueError(f"quantum forking is defined only for s1_ran and qdrift, not {method.value}")
-    return _QF_COUNTS[method](m, n)
+    record = METHODS[method]
+    per_step = record.gates_cs if impl == Implementation.CS else record.gates_qf
+    if per_step is None:
+        if method == Method.S2_RAN:
+            raise ValueError(
+                "quantum forking of the second-order randomised formula needs "
+                "2*(M!) controlled-SWAP channels and is refused as infeasible"
+            )
+        forkable = " and ".join(k.value for k, r in METHODS.items() if r.gates_qf)
+        raise ValueError(f"quantum forking is defined only for {forkable}, not {method.value}")
+    return per_step(m) * n
 
 
 # Asymptotic gate-complexity summary (classical-sampling and forking routes).
 GATE_COMPLEXITY = {
-    (Method.S1_DET, Implementation.CS): "O((tΛ)²M³/ε)",
-    (Method.S2_DET, Implementation.CS): "O((tΛ)^(3/2)M^(5/2)/√(3ε))",
-    (Method.S1_RAN, Implementation.CS): "O((tΛ)^(3/2)M^(5/2)/√(3ε))",
-    (Method.S2_RAN, Implementation.CS): "O((tΛ)^(3/2)M²/√ε)",
-    (Method.QDRIFT, Implementation.CS): "O((tΓΩ)²/ε)",
-    (Method.S1_RAN, Implementation.QF): "O((tΛ)^(3/2)M^(5/2)/√(3ε))",
-    (Method.QDRIFT, Implementation.QF): "O((tΓΩ)²M/ε)",
+    **{(method, Implementation.CS): r.complexity_cs for method, r in METHODS.items()},
+    **{(method, Implementation.QF): r.complexity_qf
+       for method, r in METHODS.items() if r.complexity_qf},
 }

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import forking
 from .formulas import (
+    METHODS,
     Direction,
     Implementation,
     Method,
@@ -27,10 +28,7 @@ from .formulas import (
     error_bound,
     gate_count,
     qdrift_exact,
-    s1_dir,
     s1_ran_exact,
-    s2_det,
-    s2_ran_exact,
     step_count,
 )
 from .lindblad import (
@@ -61,10 +59,11 @@ __all__ = [
     "ExperimentSpec",
     "SweepRecord",
     "ValidationReport",
-    "approximation_step_channel",
     "batch_standard_error",
     "fit_order",
+    "initial_state",
     "load_experiment",
+    "point_steps",
     "resolve_model",
     "run_sweep",
     "sweep_point_channel",
@@ -78,7 +77,6 @@ CSV_COLUMNS = [
     "gates_cs", "gates_qf", "status", "wall_time_ms",
 ]
 
-SAMPLED_METHODS = (Method.S1_RAN, Method.S2_RAN, Method.QDRIFT)
 STAT_BATCHES = 8  # contiguous trajectory batches behind a sampled point's stat_err
 
 
@@ -100,10 +98,14 @@ class ExperimentSpec:
     sampled: bool = False
     conservative: bool = False
 
+    @property
+    def grid(self) -> tuple:
+        return self.n_grid or self.epsilon_grid
+
     def __post_init__(self):
         if bool(self.n_grid) == bool(self.epsilon_grid):
             raise ConfigError("exactly one of n_grid / epsilon_grid must be given")
-        grid = self.n_grid or self.epsilon_grid
+        grid = self.grid
         if any(g <= 0 for g in grid):
             raise ConfigError("grid values must be positive")
         increasing = all(a < b for a, b in zip(grid, grid[1:]))
@@ -218,20 +220,18 @@ def load_experiment(path) -> ExperimentSpec:
 # ---------------------------------------------------------------------------
 
 
-def approximation_step_channel(method: Method, gen: GkslGenerator, t: float, n: int,
-                               total_rate: float) -> np.ndarray:
-    """Exact-mixture single-step channel of a method at step count n."""
-    if method == Method.S1_DET:
-        return s1_dir(gen, t / n, Direction.FORWARD)
-    if method == Method.S2_DET:
-        return s2_det(gen, t / n)
-    if method == Method.S1_RAN:
-        return s1_ran_exact(gen, t / n)
-    if method == Method.S2_RAN:
-        return s2_ran_exact(gen, t / n)
-    if method == Method.QDRIFT:
-        return qdrift_exact(gen, t * total_rate / n)
-    raise ValueError(f"unknown method {method!r}")
+def initial_state(spec: ExperimentSpec, dim: int) -> DensityMatrix:
+    if spec.initial_state == "ground":
+        return DensityMatrix.ground(dim)
+    return DensityMatrix.maximally_mixed(dim)
+
+
+def point_steps(spec: ExperimentSpec, stats: GeneratorStats, method: Method, value) -> int:
+    """N of a method's sweep point at one grid value: the value itself on an
+    n grid, the step count for that precision on an epsilon grid."""
+    if spec.n_grid:
+        return int(value)
+    return step_count(method, stats, spec.t, value, conservative=spec.conservative).n_steps
 
 
 def trajectory_batches(count: int) -> list:
@@ -248,8 +248,8 @@ def batch_standard_error(eps_batches) -> float:
     return float(np.std(eps_batches, ddof=1) / math.sqrt(len(eps_batches)))
 
 
-def sweep_point_channel(spec: ExperimentSpec, gen: GkslGenerator, stats: GeneratorStats,
-                        method: Method, n: int, t_exact: np.ndarray):
+def sweep_point_channel(spec: ExperimentSpec, gen: GkslGenerator, method: Method, n: int,
+                        t_exact: np.ndarray):
     """Total channel of one sweep point, and its batch-mean error maps (None
     unless sampled).
 
@@ -259,13 +259,12 @@ def sweep_point_channel(spec: ExperimentSpec, gen: GkslGenerator, stats: Generat
     norms to ``batch_standard_error``.  Otherwise the channel is the exact
     mixture power.
     """
-    if spec.sampled and method in SAMPLED_METHODS:
+    if spec.sampled and METHODS[method].sampler is not None:
         batches = trajectory_batches(spec.trajectories)
         sums = [trajectory_channels(method, gen, spec.t, n, spec.seed, b).sum(axis=0)
                 for b in batches]
         return sum(sums) / spec.trajectories, [t_exact - s / len(b) for s, b in zip(sums, batches)]
-    step = approximation_step_channel(method, gen, spec.t, n, stats.total_rate)
-    return np.linalg.matrix_power(step, n), None
+    return np.linalg.matrix_power(METHODS[method].step_channel(gen, spec.t, n), n), None
 
 
 def _error_record(method: Method, n: int, exc: Exception) -> SweepRecord:
@@ -286,26 +285,17 @@ def run_sweep(spec: ExperimentSpec, write_files: bool = True):
     gen = resolve_model(spec)
     stats = generator_stats(gen)
     t_exact = exact_channel(gen, spec.t)
-    rho0 = (DensityMatrix.ground(gen.dim) if spec.initial_state == "ground"
-            else DensityMatrix.maximally_mixed(gen.dim))
+    rho0 = initial_state(spec, gen.dim)
     rho_t = devectorize(t_exact @ vectorize(rho0.matrix))
-
-    points = []
-    for method in spec.methods:
-        if spec.n_grid:
-            for n in spec.n_grid:
-                points.append((method, int(n)))
-        else:
-            for eps in spec.epsilon_grid:
-                points.append((method, step_count(method, stats, spec.t, eps,
-                                                  conservative=spec.conservative).n_steps))
+    points = [(method, point_steps(spec, stats, method, value))
+              for method in spec.methods for value in spec.grid]
 
     records, seconds, point_maps = [], [], []  # point_maps: (record index, maps, sampled)
     for method, n in points:
         start = time.perf_counter()
         try:
             bound = error_bound(method, stats, spec.t, n, conservative=spec.conservative)
-            total, batch_errors = sweep_point_channel(spec, gen, stats, method, n, t_exact)
+            total, batch_errors = sweep_point_channel(spec, gen, method, n, t_exact)
             rho_approx = devectorize(total @ vectorize(rho0.matrix))
             record = SweepRecord(
                 method=method,
@@ -315,7 +305,7 @@ def run_sweep(spec: ExperimentSpec, write_files: bool = True):
                 trace_dist=trace_distance(rho_t, rho_approx),
                 gates_cs=gate_count(method, stats.term_count, n, Implementation.CS),
                 gates_qf=(gate_count(method, stats.term_count, n, Implementation.QF)
-                          if method in (Method.S1_RAN, Method.QDRIFT) else None),
+                          if METHODS[method].gates_qf else None),
                 status="ok",
                 wall_time_ms=0,
             )
@@ -582,20 +572,15 @@ def _checks_bounds(seed: int):
     violations = []
     slopes_detail = []
     slopes_ok = True
-    targets = {Method.S1_DET: -1.0, Method.S2_DET: -2.0, Method.S1_RAN: -2.0,
-               Method.S2_RAN: -2.0, Method.QDRIFT: -1.0}
-    for name in ("amp_damp", "qubit3"):
-        spec = ExperimentSpec(model=name, methods=tuple(Method), t=t, n_grid=grid, seed=seed)
+    for name, model in (("amp_damp", "amp_damp"), ("qubit3", "qubit3"),
+                        ("random", "random d=2 m=3 seed=7")):
+        spec = ExperimentSpec(model=model, methods=tuple(Method), t=t, n_grid=grid, seed=seed)
         records = run_sweep(spec, write_files=False)
         violations += [f"{name}/{r.method.value}/N={r.n}" for r in records
                        if r.status == "ok" and r.epsilon_empirical > r.epsilon_bound]
-    spec = ExperimentSpec(model="random d=2 m=3 seed=7", methods=tuple(Method), t=t,
-                          n_grid=grid, seed=seed)
-    records = run_sweep(spec, write_files=False)
-    violations += [f"random/{r.method.value}/N={r.n}" for r in records
-                   if r.status == "ok" and r.epsilon_empirical > r.epsilon_bound]
+    # orders are fitted on the last, noncommuting model
     for method, slope in sorted(fit_order(records).items(), key=lambda kv: kv[0].value):
-        good = abs(slope - targets[method]) <= 0.15
+        good = abs(slope + METHODS[method].order) <= 0.15
         slopes_ok = slopes_ok and good
         slopes_detail.append(f"{method.value}:{slope:+.2f}")
     out.append(CheckResult("bounds", "error_bounds_hold", not violations,
@@ -604,10 +589,9 @@ def _checks_bounds(seed: int):
 
     # leading-order cancellation of the mixture channel against the exact step
     gen = builtin_model("random", dict(d=2, m=3, seed=7))
-    total_rate = float(np.sum(gen.rates))
     dts = np.array([0.2, 0.1, 0.05, 0.025])
-    errs = [np.max(np.abs(qdrift_exact(gen, dt * total_rate) - exact_channel(gen, dt)))
-            for dt in dts]
+    qdrift = METHODS[Method.QDRIFT]
+    errs = [np.max(np.abs(qdrift.step_channel(gen, dt, 1) - exact_channel(gen, dt))) for dt in dts]
     slope = float(np.polyfit(np.log(dts), np.log(errs), 1)[0])
     out.append(CheckResult("bounds", "qdrift_first_order_cancellation",
                            abs(slope - 2.0) <= 0.2, f"slope {slope:+.2f}"))
@@ -626,25 +610,21 @@ def _checks_forking(seed: int):
         if gen.dim > 2 or gen.m_total > 3:
             continue
         for dt in (0.05, 0.2):
-            mix = devectorize(s1_ran_exact(gen, dt) @ vectorize(rho0.matrix))
-            forked = [forking.fork_s1_step(gen, dt, rho0, phi) for phi in phis]
-            worst_equiv = max(worst_equiv, trace_distance(forked[0].matrix, mix))
-            worst_phi = max(worst_phi, trace_distance(forked[0], forked[1]),
-                            trace_distance(forked[0], forked[2]))
-            mixq = devectorize(qdrift_exact(gen, dt) @ vectorize(rho0.matrix))
-            forkedq = [forking.fork_qdrift_step(gen, dt, rho0, phi) for phi in phis]
-            worst_equiv = max(worst_equiv, trace_distance(forkedq[0].matrix, mixq))
-            worst_phi = max(worst_phi, trace_distance(forkedq[0], forkedq[1]))
+            for mixture, fork_step in ((s1_ran_exact, forking.fork_s1_step),
+                                       (qdrift_exact, forking.fork_qdrift_step)):
+                mix = devectorize(mixture(gen, dt) @ vectorize(rho0.matrix))
+                forked = [fork_step(gen, dt, rho0, phi) for phi in phis]
+                worst_equiv = max(worst_equiv, trace_distance(forked[0].matrix, mix))
+                worst_phi = max(worst_phi, *(trace_distance(forked[0], f) for f in forked[1:]))
         stats = generator_stats(gen)
         for n in (1, 4, 8):
             t = 1.0
             exact_state = devectorize(exact_channel(gen, t) @ vectorize(rho0.matrix))
-            run = forking.fork_s1_run(gen, t, n, rho0, phis[0])
-            bound = (stats.term_count * t * stats.max_scaled_norm) ** 3 / (6 * n**2)
-            bounds_ok = bounds_ok and trace_distance(run.matrix, exact_state) <= bound
-            runq = forking.fork_qdrift_run(gen, t, n, rho0, phis[0])
-            boundq = (t * stats.total_rate * stats.max_bare_norm) ** 2 / (2 * n)
-            bounds_ok = bounds_ok and trace_distance(runq.matrix, exact_state) <= boundq
+            for method, fork_run in ((Method.S1_RAN, forking.fork_s1_run),
+                                     (Method.QDRIFT, forking.fork_qdrift_run)):
+                run = fork_run(gen, t, n, rho0, phis[0])
+                bound = error_bound(method, stats, t, n) / 2  # trace distance <= diamond / 2
+                bounds_ok = bounds_ok and trace_distance(run.matrix, exact_state) <= bound
     out.append(CheckResult("forking", "matches_exact_mixture", worst_equiv <= 1e-10,
                            f"max trace distance {worst_equiv:.2e}"))
     out.append(CheckResult("forking", "work_state_independence", worst_phi <= 1e-10,
@@ -672,8 +652,7 @@ def _checks_sampling(seed: int):
                            f"term-2 {frac2:.4f}"))
 
     amp = builtin_model("amp_damp")
-    omega = 1.0 * float(np.sum(amp.rates)) / 16
-    target = np.linalg.matrix_power(qdrift_exact(amp, omega), 16)
+    target = np.linalg.matrix_power(METHODS[Method.QDRIFT].step_channel(amp, 1.0, 16), 16)
     dist_small, dist_large = (sol.value for sol in diamond_norm_certificates(
         [mixture_estimate(Method.QDRIFT, amp, 1.0, 16, r, 42) - target for r in (250, 4000)]))
     out.append(CheckResult("sampling", "mixture_estimate_converges",
@@ -710,26 +689,18 @@ def validate_all(seed: int = 0, suite: str = "all") -> ValidationReport:
 # Gate-complexity report
 # ---------------------------------------------------------------------------
 
-_COMPLEXITY_ROWS = [
-    ("First-order deterministic", Method.S1_DET, Implementation.CS),
-    ("Second-order deterministic", Method.S2_DET, Implementation.CS),
-    ("First-order randomised (CS)", Method.S1_RAN, Implementation.CS),
-    ("Second-order randomised (CS)", Method.S2_RAN, Implementation.CS),
-    ("QDRIFT (CS)", Method.QDRIFT, Implementation.CS),
-    ("First-order randomised (QF)", Method.S1_RAN, Implementation.QF),
-    ("Second-order randomised (QF)", Method.S2_RAN, Implementation.QF),
-    ("QDRIFT (QF)", Method.QDRIFT, Implementation.QF),
-]
-
-
 def table1_report(m: int, t: float, lam: float, gamma: float, omega: float,
                   eps: float, conservative: bool = False) -> str:
-    """Gate-complexity comparison for user-supplied bound scalars."""
+    """Gate-complexity comparison for user-supplied bound scalars: every
+    method by classical sampling, then the randomised ones by forking."""
     stats = GeneratorStats(max_scaled_norm=lam, max_bare_norm=omega,
                            total_rate=gamma, term_count=m)
     header = f"{'method':<30} {'complexity':<28} {'N':>8} {'gates':>10}"
     lines = [header, "-" * len(header)]
-    for label, method, impl in _COMPLEXITY_ROWS:
+    rows = [(r.label + (" (CS)" if r.sampler else ""), k, Implementation.CS)
+            for k, r in METHODS.items()]
+    rows += [(f"{r.label} (QF)", k, Implementation.QF) for k, r in METHODS.items() if r.sampler]
+    for label, method, impl in rows:
         if (method, impl) not in GATE_COMPLEXITY:
             lines.append(f"{label:<30} {'infeasible (M!)':<28} {'-':>8} {'-':>10}")
             continue

@@ -1,9 +1,10 @@
 """Seeded gate-set sampling and trajectory averaging.
 
 Trajectory r draws its whole schedule from one Philox stream (key: the seed,
-counter: r << 128) as one (n, w) array of uniforms.  Row l is step l: the
-forward sweep if u < 0.5 (s1_ran), the permutation argsort(u) + 1 (s2_ran),
-term searchsorted(cdf, u) (qdrift).  Row l depends on neither n nor other
+counter: r << 128) as one (n, w) array of uniforms.  Row l is step l, read
+by the method's ``Sampler`` in ``formulas.METHODS``: the forward sweep if
+u < 0.5 (s1_ran), the permutation argsort(u) + 1 (s2_ran), term
+searchsorted(cdf, u) (qdrift).  Row l depends on neither n nor other
 trajectories: schedules are bit-reproducible, prefix-stable in n and
 order-independent.  One Philox bit generator serves a whole batch: after
 each row it is advanced to the next trajectory's counter.  Steps are integer
@@ -18,38 +19,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .formulas import Direction, Method, qdrift_probs, s1_dir, s2_sigma, step_count
-from .lindblad import GkslGenerator, constituent_channel
+from .formulas import METHODS, Method, S1Block, S2Block, TermExp, step_count
+from .lindblad import GkslGenerator
 from .linalg import DensityMatrix, devectorize, vectorize
 from .norms import GeneratorStats, generator_stats
 
 __all__ = [
-    "ChannelStep", "GateSet", "S1Block", "S2Block", "TermExp", "apply_gateset", "draw_gateset",
+    "GateSet", "S1Block", "S2Block", "TermExp", "apply_gateset", "draw_gateset",
     "gateset_channel", "mixture_estimate", "sample_gateset", "trajectory_channels",
 ]
 
 _CHUNK = 256  # trajectories multiplied out together by mixture_estimate
 _TABLE_BYTES = 1 << 22  # largest window table _products builds
 _CALL_COST = 8  # one stacked matmul call costs about as much as 8 small products in it
-
-
-@dataclass(frozen=True)
-class S1Block:
-    direction: Direction
-
-
-@dataclass(frozen=True)
-class S2Block:
-    perm: tuple  # permutation of 1..M, first entry applied first
-
-
-@dataclass(frozen=True)
-class TermExp:
-    k: int
-    with_rate: bool = True
-
-
-ChannelStep = (S1Block, S2Block, TermExp)
 
 
 @dataclass(frozen=True)
@@ -86,44 +68,30 @@ def _uniforms(seed: int, trajectories: range, n: int, width: int) -> np.ndarray:
 
 def _draw(method: Method, gen: GkslGenerator, t: float, n: int, seed: int,
           trajectories: range):
-    """Step length and integer step codes (one row per trajectory) of sampled schedules."""
+    """Step length, distinct steps and step indices (one row per trajectory) of
+    sampled schedules; the method's ``Sampler`` turns the uniforms into steps."""
     if n < 1:
         raise ValueError("step count must be a positive integer")
     if t <= 0:
         raise ValueError("simulation time must be positive")
     if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
         raise ValueError(f"seed must be an integer in [0, 2**64), not {seed!r}")
-    if method not in (Method.S1_RAN, Method.S2_RAN, Method.QDRIFT):
+    record = METHODS[method]
+    sampler = record.sampler
+    if sampler is None:
         raise ValueError(f"gate sets exist only for the sampled methods, not {method.value}")
-    m = gen.m_total
-    u = _uniforms(seed, trajectories, n, m if method == Method.S2_RAN else 1)
-    if method == Method.S1_RAN:
-        return t / n, (u[..., 0] >= 0.5).astype(np.int64)  # 0: forward, 1: reversed
-    if method == Method.S2_RAN:  # permutation digits in base m; int64 holds m**m for m < 16
-        digits = np.array([m**j for j in range(m - 1, -1, -1)], dtype=np.int64 if m < 16 else object)
-        return t / n, np.argsort(u, axis=-1, kind="stable") @ digits
-    cdf = np.cumsum(qdrift_probs(gen))
-    dt = t * float(np.sum(gen.rates)) / n
-    return dt, np.minimum(np.searchsorted(cdf, u[..., 0], side="right"), m - 1)
-
-
-def _step(method: Method, code: int, m: int):
-    """The channel step a code stands for."""
-    if method == Method.S1_RAN:
-        return S1Block(Direction.REVERSED if code else Direction.FORWARD)
-    if method == Method.S2_RAN:
-        return S2Block(tuple(1 + code // m**j % m for j in range(m - 1, -1, -1)))
-    return TermExp(k=code + 1, with_rate=False)
+    codes = sampler.codes(_uniforms(seed, trajectories, n, sampler.width(gen.m_total)), gen)
+    distinct, index = np.unique(codes.ravel(), return_inverse=True)
+    steps = [sampler.step(c, gen.m_total) for c in distinct.tolist()]
+    return record.step_length(gen, t, n), steps, index.reshape(codes.shape)
 
 
 def draw_gateset(method: Method, gen: GkslGenerator, t: float, n: int, seed: int,
                  trajectory: int = 0) -> GateSet:
     """Draw an n-step gate set for one of the sampled methods."""
-    dt, codes = _draw(method, gen, t, n, seed, range(trajectory, trajectory + 1))
-    codes = codes[0].tolist()
-    steps = {c: _step(method, c, gen.m_total) for c in set(codes)}
-    return GateSet(steps=tuple(steps[c] for c in codes), seed=seed, method=method, dt=dt,
-                   n_steps=n)
+    dt, steps, index = _draw(method, gen, t, n, seed, range(trajectory, trajectory + 1))
+    return GateSet(steps=tuple(steps[i] for i in index[0].tolist()), seed=seed, method=method,
+                   dt=dt, n_steps=n)
 
 
 def sample_gateset(method: Method, gen: GkslGenerator, t: float, epsilon: float, seed: int,
@@ -133,16 +101,6 @@ def sample_gateset(method: Method, gen: GkslGenerator, t: float, epsilon: float,
         stats = generator_stats(gen)
     bound = step_count(method, stats, t, epsilon, conservative=conservative)
     return draw_gateset(method, gen, t, bound.n_steps, seed)
-
-
-def _step_channel(step, gen: GkslGenerator, dt: float) -> np.ndarray:
-    if isinstance(step, S1Block):
-        return s1_dir(gen, dt, step.direction)
-    if isinstance(step, S2Block):
-        return s2_sigma(gen, dt, step.perm)
-    if isinstance(step, TermExp):
-        return constituent_channel(gen, step.k, dt, with_rate=step.with_rate)
-    raise TypeError(f"unknown channel step {step!r}")
 
 
 def _window(k: int, n: int, batch: int, d2: int) -> int:
@@ -175,7 +133,7 @@ def _products(steps, index: np.ndarray, gen: GkslGenerator, dt: float) -> np.nda
     out one stacked matmul each, then the last n % w steps one at a time.
     """
     d2 = gen.dim**2
-    table = np.array([_step_channel(s, gen, dt) for s in steps], dtype=complex).reshape(-1, d2, d2)
+    table = np.array([s.channel(gen, dt) for s in steps], dtype=complex).reshape(-1, d2, d2)
     batch, n = index.shape
     if n == 0:
         return np.broadcast_to(np.eye(d2, dtype=complex), (batch, d2, d2)).copy()
@@ -217,10 +175,8 @@ def apply_gateset(gs: GateSet, gen: GkslGenerator, rho0: DensityMatrix) -> Densi
 def trajectory_channels(method: Method, gen: GkslGenerator, t: float, n: int, seed: int,
                         trajectories: range) -> np.ndarray:
     """Stacked schedule channels of the given trajectories, one per index."""
-    dt, codes = _draw(method, gen, t, n, seed, trajectories)
-    distinct, index = np.unique(codes.ravel(), return_inverse=True)
-    steps = [_step(method, c, gen.m_total) for c in distinct.tolist()]
-    return _products(steps, index.reshape(codes.shape), gen, dt)
+    dt, steps, index = _draw(method, gen, t, n, seed, trajectories)
+    return _products(steps, index, gen, dt)
 
 
 def mixture_estimate(method: Method, gen: GkslGenerator, t: float, n: int,

@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lindsim.formulas import (
+    METHODS,
     Direction,
     Implementation,
     Method,
@@ -207,6 +210,47 @@ def test_step_count_is_exact_ceiling():
     assert step_count(Method.S1_DET, s, t=1.0, epsilon=0.25).n_steps == 16
     assert step_count(Method.S1_DET, s, t=1.0, epsilon=0.2501).n_steps == 16
     assert step_count(Method.S1_DET, s, t=1.0, epsilon=0.2499).n_steps == 17
+
+
+def test_step_count_at_an_exact_boundary():
+    # (M t lam)^3 / (3 N^2) = 216 / 432 = 0.5 exactly at N = 12
+    s = stats_for(max_scaled_norm=2.0, max_bare_norm=1.0, total_rate=1.0, term_count=6)
+    for method in (Method.S2_DET, Method.S1_RAN):
+        assert error_bound(method, s, 0.5, 12) == 0.5
+        assert step_count(method, s, t=0.5, epsilon=0.5).n_steps == 12
+
+
+# small binary fractions and integers put the bound exactly on epsilon
+FRIENDLY = st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0])
+
+
+@settings(max_examples=400, deadline=None)
+@given(method=st.sampled_from(list(Method)), conservative=st.booleans(), m=st.integers(1, 8),
+       t=st.one_of(FRIENDLY, st.floats(0.01, 5.0)), lam=st.one_of(FRIENDLY, st.floats(0.01, 5.0)),
+       gamma=st.one_of(FRIENDLY, st.floats(0.01, 5.0)), omega=st.one_of(FRIENDLY, st.floats(0.01, 5.0)),
+       eps=st.one_of(st.sampled_from([2.0, 1.0, 0.5, 0.25, 0.125, 0.1, 0.01]), st.floats(1e-4, 10.0)))
+def test_step_count_is_the_smallest_n_within_epsilon(method, conservative, m, t, lam, gamma, omega,
+                                                      eps):
+    s = stats_for(max_scaled_norm=lam, max_bare_norm=omega, total_rate=gamma, term_count=m)
+    found = step_count(method, s, t, eps, conservative=conservative)
+    n = found.n_steps
+    assert found.epsilon_bound == error_bound(method, s, t, n, conservative=conservative) <= eps
+    assert n == 1 or error_bound(method, s, t, n - 1, conservative=conservative) > eps
+
+
+def test_every_method_has_a_record():
+    assert list(METHODS) == list(Method)
+    assert [METHODS[k].order for k in Method] == [1, 2, 2, 2, 1]
+    assert [METHODS[k].gates_cs(5) for k in Method] == [5, 10, 5, 10, 1]
+    assert [METHODS[k].gates_qf and METHODS[k].gates_qf(5) for k in Method] == [None, None, 12, None, 13]
+    assert [k for k in Method if METHODS[k].sampler] == [Method.S1_RAN, Method.S2_RAN, Method.QDRIFT]
+
+
+def test_step_length_is_t_over_n_or_rate_weighted(noncommuting):
+    total_rate = float(np.sum(noncommuting.rates))
+    for method in Method:
+        expected = 1.5 * (total_rate if method == Method.QDRIFT else 1.0) / 6
+        assert METHODS[method].step_length(noncommuting, 1.5, 6) == pytest.approx(expected, rel=1e-15)
 
 
 def test_step_count_rejects_bad_epsilon():

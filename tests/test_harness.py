@@ -179,15 +179,14 @@ def test_trajectory_batches_are_contiguous_and_near_equal():
 
 def test_sampled_point_is_the_trajectory_mean():
     from lindsim.lindblad import exact_channel
-    from lindsim.norms import diamond_norm_certificates, generator_stats
+    from lindsim.norms import diamond_norm_certificates
     from lindsim.sampling import mixture_estimate, trajectory_channels
 
     spec = ExperimentSpec(model="random d=2 m=3 seed=7", methods=(Method.S2_RAN,), t=1.0,
                           n_grid=(6,), seed=3, trajectories=15, sampled=True)
     gen = resolve_model(spec)
     t_exact = exact_channel(gen, 1.0)
-    total, batch_errors = sweep_point_channel(spec, gen, generator_stats(gen), Method.S2_RAN, 6,
-                                              t_exact)
+    total, batch_errors = sweep_point_channel(spec, gen, Method.S2_RAN, 6, t_exact)
     # one error map per contiguous batch: t_exact minus that batch's mean channel
     batches = trajectory_batches(15)
     assert len(batch_errors) == len(batches)
@@ -205,7 +204,7 @@ def test_sampled_sweep_certifies_batch_means_with_the_points(monkeypatch):
     # errors are the other; stat_err comes from those certificates
     import lindsim.norms as norms
     from lindsim.lindblad import exact_channel
-    from lindsim.norms import diamond_norm_certificates, generator_stats
+    from lindsim.norms import diamond_norm_certificates
 
     spec = ExperimentSpec(model="random d=2 m=3 seed=7", methods=(Method.S1_RAN, Method.QDRIFT),
                           t=1.0, n_grid=(4, 8), seed=5, trajectories=32, sampled=True)
@@ -219,8 +218,7 @@ def test_sampled_sweep_certifies_batch_means_with_the_points(monkeypatch):
     t_exact = exact_channel(gen, 1.0)
     for r in records:
         assert r.status == "ok"
-        total, batch_errors = sweep_point_channel(spec, gen, generator_stats(gen), r.method, r.n,
-                                                  t_exact)
+        total, batch_errors = sweep_point_channel(spec, gen, r.method, r.n, t_exact)
         sols = diamond_norm_certificates([t_exact - total, *batch_errors])
         assert r.epsilon_empirical == pytest.approx(sols[0].value, abs=1e-9)
         assert r.stat_err == pytest.approx(batch_standard_error([s.value for s in sols[1:]]),
@@ -256,15 +254,13 @@ def test_failed_batch_mean_solve_fails_only_its_point(monkeypatch):
 
 
 def test_exact_point_is_the_mixture_power():
-    from lindsim.harness import approximation_step_channel
-    from lindsim.norms import generator_stats
+    from lindsim.formulas import METHODS
 
     spec = ExperimentSpec(model="random d=2 m=3 seed=7", methods=(Method.QDRIFT,), t=1.0,
                           n_grid=(6,), seed=3)
     gen = resolve_model(spec)
-    stats = generator_stats(gen)
-    total, batch_errors = sweep_point_channel(spec, gen, stats, Method.QDRIFT, 6, None)
-    step = approximation_step_channel(Method.QDRIFT, gen, 1.0, 6, stats.total_rate)
+    total, batch_errors = sweep_point_channel(spec, gen, Method.QDRIFT, 6, None)
+    step = METHODS[Method.QDRIFT].step_channel(gen, 1.0, 6)
     assert batch_errors is None
     assert np.array_equal(total, np.linalg.matrix_power(step, 6))
 
