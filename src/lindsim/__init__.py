@@ -42,7 +42,6 @@ from .harness import (
     load_experiment,
     run_sweep,
     table1_report,
-    validate_all,
 )
 from .lindblad import (
     GkslGenerator,
@@ -76,5 +75,6 @@ from .sampling import (
     sample_gateset,
 )
 from .tolerances import TOL, Tolerances
+from .validation import validate_all
 
 __version__ = "0.1.0"

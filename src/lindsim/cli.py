@@ -24,12 +24,12 @@ from .harness import (
     run_sweep,
     sweep_point_channel,
     table1_report,
-    validate_all,
 )
 from .lindblad import GeneratorFormatError, exact_channel, is_cptp
 from .linalg import devectorize, trace_distance, vectorize
 from .norms import diamond_norm_certificates, generator_stats
 from .sdp import SdpConvergenceError
+from .validation import validate_all
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -170,6 +170,9 @@ def main(argv=None) -> int:
         return 1
     except (ConfigError, GeneratorFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:  # a bound formula overflowed on the numbers given
+        print(f"error: input out of range ({exc.args[-1]})", file=sys.stderr)
         return 2
 
 

@@ -31,13 +31,17 @@ from .tolerances import TOL
 __all__ = [
     "GeneratorStats",
     "apply_to_doubled_space",
+    "certified",
     "diamond_norm",
     "diamond_norm_certificates",
     "diamond_norm_solution",
     "diamond_norm_solutions",
     "generator_stats",
     "power_contraction_check",
+    "power_contraction_maps",
     "sampled_diamond_lower_bound",
+    "term_maps",
+    "term_stats",
 ]
 
 
@@ -88,11 +92,15 @@ def diamond_norm_solutions(superops) -> list:
 def diamond_norm_certificates(superops) -> list:
     """Each map's ``SdpSolution``, solved as ``diamond_norm_solutions`` does;
     raises the first map's exception instead of returning it."""
-    solved = diamond_norm_solutions(superops)
-    for sol in solved:
+    return certified(diamond_norm_solutions(superops))
+
+
+def certified(solutions) -> list:
+    """``solutions`` as given once none is an exception; else raises the first that is."""
+    for sol in solutions:
         if isinstance(sol, Exception):
             raise sol
-    return solved
+    return solutions
 
 
 def diamond_norm_solution(superop: np.ndarray) -> SdpSolution:
@@ -164,35 +172,50 @@ class GeneratorStats:
             raise ValueError("term count must be positive")
 
 
+def term_maps(gen: GkslGenerator) -> list:
+    """The rate-free superoperators of a generator's terms k = 1..M, whose
+    diamond norms ``term_stats`` reads."""
+    return [term_superop(gen, k, with_rate=False) for k in range(1, gen.m_total + 1)]
+
+
 def generator_stats(gen: GkslGenerator, gamma_includes_hamiltonian: bool = True) -> GeneratorStats:
-    """Diamond-norm statistics of a generator's terms.
+    """Diamond-norm statistics of a generator's terms: its ``term_maps``
+    certified in one batch, read by ``term_stats``."""
+    return term_stats(gen, diamond_norm_solutions(term_maps(gen)), gamma_includes_hamiltonian)
 
-    One SDP per term, all terms in one batch: the diamond norm is
-    homogeneous, so a rate-scaled term's norm is its rate times the bare
-    term's norm.
 
-    ``gamma_includes_hamiltonian`` keeps the Hamiltonian's unit rate inside
-    the total decay rate (the default); disable to count dissipators only.
+def term_stats(gen: GkslGenerator, solutions, gamma_includes_hamiltonian: bool = True) -> GeneratorStats:
+    """A generator's statistics from the first M of ``solutions`` (an iterator
+    may be shared), those of its ``term_maps``; a failed term raises, naming k
+    and d.  The diamond norm is homogeneous, so a rate-scaled term's norm is
+    its rate times the bare term's.  ``gamma_includes_hamiltonian`` keeps the
+    Hamiltonian's unit rate inside the total decay rate (the default); disable
+    to count dissipators only.
     """
-    terms = [term_superop(gen, k, with_rate=False) for k in range(1, gen.m_total + 1)]
     bare = scaled = 0.0
-    for k, sol in enumerate(diamond_norm_solutions(terms), start=1):
+    for k, sol in zip(range(1, gen.m_total + 1), solutions):  # range first: stops at term M
         if isinstance(sol, SdpConvergenceError):
             raise SdpConvergenceError(f"diamond norm of term {k} of a d={gen.dim} generator: {sol.reason}",
                                       sol.gap, sol.iterations, sol.primal_residual) from sol
         if isinstance(sol, Exception):
             raise sol
-        norm = sol.value
-        bare = max(bare, norm)
-        scaled = max(scaled, gen.rate(k) * norm)
-    rates = gen.rates
-    total = float(np.sum(rates)) if gamma_includes_hamiltonian else float(np.sum(rates[1:]))
-    return GeneratorStats(
-        max_scaled_norm=scaled,
-        max_bare_norm=bare,
-        total_rate=total,
-        term_count=gen.m_total,
-    )
+        bare = max(bare, sol.value)
+        scaled = max(scaled, gen.rate(k) * sol.value)
+    total = float(np.sum(gen.rates if gamma_includes_hamiltonian else gen.rates[1:]))
+    return GeneratorStats(max_scaled_norm=scaled, max_bare_norm=bare, total_rate=total,
+                          term_count=gen.m_total)
+
+
+def power_contraction_maps(t_chan: np.ndarray, v_chan: np.ndarray, ns) -> list:
+    """T - V, then T^N - V^N for each N in ``ns``: the maps behind
+    ``power_contraction_check``, for two CPTP channels."""
+    if not ns or min(ns) < 1:
+        raise ValueError("n must be a positive integer")
+    for name, chan in (("first", t_chan), ("second", v_chan)):
+        if not is_cptp(chan):
+            raise ValueError(f"{name} input is not CPTP at tolerance {TOL.cptp_tol}")
+    return [t_chan - v_chan] + [np.linalg.matrix_power(t_chan, k) - np.linalg.matrix_power(v_chan, k)
+                                for k in ns]
 
 
 def power_contraction_check(t_chan: np.ndarray, v_chan: np.ndarray, n, slack: float = 1e-6):
@@ -203,13 +226,6 @@ def power_contraction_check(t_chan: np.ndarray, v_chan: np.ndarray, n, slack: fl
     list of verdicts, in order, for several.
     """
     ns = [n] if isinstance(n, Integral) else [int(k) for k in n]
-    if not ns or min(ns) < 1:
-        raise ValueError("n must be a positive integer")
-    for name, chan in (("first", t_chan), ("second", v_chan)):
-        if not is_cptp(chan):
-            raise ValueError(f"{name} input is not CPTP at tolerance {TOL.cptp_tol}")
-    maps = [t_chan - v_chan] + [np.linalg.matrix_power(t_chan, k) - np.linalg.matrix_power(v_chan, k)
-                                for k in ns]
-    rhs, *lhs = [sol.value for sol in diamond_norm_certificates(maps)]
+    rhs, *lhs = [sol.value for sol in diamond_norm_certificates(power_contraction_maps(t_chan, v_chan, ns))]
     holds = [bool(value <= k * rhs + slack) for value, k in zip(lhs, ns)]
     return holds[0] if isinstance(n, Integral) else holds

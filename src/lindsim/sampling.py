@@ -6,8 +6,8 @@ by the method's ``Sampler`` in ``formulas.METHODS``: the forward sweep if
 u < 0.5 (s1_ran), the permutation argsort(u) + 1 (s2_ran), term
 searchsorted(cdf, u) (qdrift).  Row l depends on neither n nor other
 trajectories: schedules are bit-reproducible, prefix-stable in n and
-order-independent.  One Philox bit generator serves a whole batch: after
-each row it is advanced to the next trajectory's counter.  Steps are integer
+order-independent.  One Philox bit generator serves a whole batch: before
+each row its state is set to that trajectory's counter.  Steps are integer
 codes, so a batch of trajectories is multiplied out from a table of the
 channels of every length-w run of its distinct steps, one stacked matmul per
 window of w steps (``_window`` picks w).
@@ -54,15 +54,15 @@ class GateSet:
 def _uniforms(seed: int, trajectories: range, n: int, width: int) -> np.ndarray:
     """(len(trajectories), n, width) uniforms; row r is what
     ``Generator(Philox(key=seed, counter=r << 128)).random((n, width))`` reads."""
-    if trajectories.step != 1:
-        raise ValueError(f"trajectories must be consecutive, not {trajectories!r}")
     u = np.empty((len(trajectories), n, width))
-    bits = np.random.Philox(key=int(seed), counter=trajectories.start << 128)
+    bits = np.random.Philox(key=int(seed))
     uniforms = np.random.Generator(bits)
-    skip = (1 << 128) - -(-n * width // 4)  # a row reads n * width words, 4 per counter step
-    for row in u:
+    state = bits.state  # a fresh stream: empty buffer, counter 0
+    counter = state["state"]["counter"]
+    for row, r in zip(u, trajectories):
+        counter[2:] = r & (2**64 - 1), r >> 64  # counter r << 128, as four 64-bit words
+        bits.state = state
         uniforms.random(out=row)
-        bits.advance(skip)  # to the next trajectory's counter, dropping the row's leftover words
     return u
 
 
@@ -76,6 +76,8 @@ def _draw(method: Method, gen: GkslGenerator, t: float, n: int, seed: int,
         raise ValueError("simulation time must be positive")
     if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
         raise ValueError(f"seed must be an integer in [0, 2**64), not {seed!r}")
+    if min(trajectories, default=0) < 0:
+        raise ValueError(f"trajectory indices must be nonnegative, not {trajectories!r}")
     record = METHODS[method]
     sampler = record.sampler
     if sampler is None:

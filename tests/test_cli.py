@@ -1,8 +1,14 @@
+import contextlib
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lindsim import norms
 from lindsim.cli import main
+from lindsim.formulas import Implementation, Method
 from lindsim.sdp import SdpConvergenceError
 
 CONFIG = """
@@ -53,6 +59,64 @@ def test_table1_conservative_flag_grows_s2_ran(capsys):
         return int(row.split()[-2])
 
     assert s2_ran_steps(["--conservative-bounds"]) > s2_ran_steps([])
+
+
+@pytest.mark.parametrize("t, lam", [("1", "1e200"), ("inf", "1")])
+def test_table1_overflow_is_bad_input(t, lam, capsys):
+    argv = ["table1", "--m", "2", "--t", t, "--lambda", lam, "--gamma", "1", "--omega", "1",
+            "--eps", "0.1"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+# what a user might type at a numeric flag: huge, tiny, zero, negative, NaN, inf, malformed
+NUMBERS = st.one_of(
+    st.sampled_from(["0", "-0", "-1", "nan", "-nan", "inf", "-inf", "1e200", "1e308", "1e309",
+                     "-1e200", "5e-324", "1e-320", "1e-300", "9" * 400, "1.5", "x"]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-10**30, 10**30).map(str),
+)
+
+
+def run_cli(argv):
+    """Exit code and stderr of one in-process CLI run; argparse's rejections are SystemExit(2)."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+def assert_exit_0_or_2(argv):
+    code, err = run_cli(argv)
+    assert code in (0, 2), (argv, code, err)
+    assert "Traceback" not in err
+    assert code == 0 or "error:" in err
+
+
+TABLE1 = {"--m": "2", "--t": "1", "--lambda": "1", "--gamma": "2", "--omega": "1", "--eps": "0.1"}
+
+
+@settings(max_examples=300, deadline=None)
+@given(odd=st.dictionaries(st.sampled_from(list(TABLE1)), NUMBERS, min_size=1),
+       conservative=st.booleans())
+def test_table1_exits_0_or_2_on_any_numbers(odd, conservative):
+    values = {**TABLE1, **odd}  # some flags odd, the others sane
+    assert_exit_0_or_2(["table1", *(f"{flag}={value}" for flag, value in values.items())]
+                       + ["--conservative-bounds"] * conservative)
+
+
+@settings(max_examples=200, deadline=None)
+@given(method=st.sampled_from([m.value for m in Method]),
+       impl=st.sampled_from([i.value for i in Implementation]),
+       odd=st.dictionaries(st.sampled_from(["--m", "--n"]), NUMBERS, min_size=1))
+def test_gatecount_exits_0_or_2_on_any_numbers(method, impl, odd):
+    values = {"--m": "2", "--n": "10", **odd}
+    assert_exit_0_or_2(["gatecount", "--method", method, "--impl", impl,
+                        *(f"{flag}={value}" for flag, value in values.items())])
 
 
 def test_sweep_with_epsilon_grid(tmp_path, capsys):
@@ -107,6 +171,19 @@ def test_solver_failure_exits_1(config_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "step collapsed" in err and "3.000e-04" in err
+
+
+@pytest.mark.parametrize("suite, named", [("forking", "term 1 of a d=2 generator"),
+                                           ("identities", "step collapsed")])
+def test_validate_solver_failure_exits_1(suite, named, monkeypatch, capsys):
+    def failing_solve(chois, gap_tols, **kwargs):
+        return [SdpConvergenceError("interior-point step collapsed", 3e-4) for _ in chois]
+
+    monkeypatch.setattr(norms, "solve_diamond", failing_solve)
+    assert main(["validate", suite]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: solver failed:") and err.count("\n") == 1
+    assert named in err
 
 
 def test_malformed_config_is_bad_input(tmp_path, capsys):

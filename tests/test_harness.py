@@ -16,9 +16,9 @@ from lindsim.harness import (
     sweep_point_channel,
     table1_report,
     trajectory_batches,
-    validate_all,
     write_sweep_csv,
 )
+from lindsim.validation import validate_all
 
 CONFIG = """
 [experiment]

@@ -14,6 +14,8 @@ from lindsim.norms import (
     generator_stats,
     power_contraction_check,
     sampled_diamond_lower_bound,
+    term_maps,
+    term_stats,
 )
 from lindsim.sdp import SdpConvergenceError
 from lindsim.tolerances import TOL
@@ -331,6 +333,17 @@ def test_qudit_term_with_stalling_residual_ends_early():
     assert sol.iterations <= 60
 
 
+def test_term_stats_read_a_shared_iterator_in_turn():
+    gens = [builtin_model("amp_damp"), builtin_model("qubit3"), builtin_model("two_qubit_xy")]
+    solved = iter(diamond_norm_solutions([m for gen in gens for m in term_maps(gen)]))
+    for gen in gens:
+        stats, alone = term_stats(gen, solved), generator_stats(gen)
+        assert stats.term_count == alone.term_count and stats.total_rate == alone.total_rate
+        assert stats.max_scaled_norm == pytest.approx(alone.max_scaled_norm, abs=TOL.diamond_abs_tol)
+        assert stats.max_bare_norm == pytest.approx(alone.max_bare_norm, abs=TOL.diamond_abs_tol)
+    assert next(solved, None) is None
+
+
 def test_generator_stats_failure_names_term_and_dimension(monkeypatch):
     gen = builtin_model("random", dict(d=3, m=3, seed=2))
 
@@ -418,31 +431,46 @@ def test_power_contraction_several_n_match_single_calls(monkeypatch):
         power_contraction_check(t_chan, v_chan, [2, 0])
 
 
-def test_identities_suite_makes_80_solves(monkeypatch):
-    from lindsim.harness import validate_all
-
-    solves = []
+def count_plan_calls(monkeypatch, *modules):
+    """Record the map count of every diamond_norm_solutions call made through these modules."""
+    calls = []
 
     def counting(superops):
-        solves.append(len(superops))
+        calls.append(len(superops))
         return diamond_norm_solutions(superops)
 
-    monkeypatch.setattr("lindsim.norms.diamond_norm_solutions", counting)
+    for module in modules:
+        monkeypatch.setattr(f"lindsim.{module}.diamond_norm_solutions", counting)
+    return calls
+
+
+def test_identities_suite_makes_80_solves(monkeypatch):
+    from lindsim.validation import validate_all
+
+    solves = count_plan_calls(monkeypatch, "validation")
     report = validate_all(seed=0, suite="identities")
     assert report.passed
-    assert sum(solves) == 80 and len(solves) == 20
+    assert solves == [80]
 
 
 def test_sampling_suite_certifies_its_maps_in_one_call(monkeypatch):
-    from lindsim.harness import validate_all
+    from lindsim.validation import validate_all
 
-    solves = []
-
-    def counting(superops):
-        solves.append(len(superops))
-        return diamond_norm_solutions(superops)
-
-    monkeypatch.setattr("lindsim.norms.diamond_norm_solutions", counting)
+    solves = count_plan_calls(monkeypatch, "validation")
     report = validate_all(seed=0, suite="sampling")
     assert report.passed
     assert solves == [2]
+
+
+def test_validate_certifies_its_plan_in_one_call(monkeypatch):
+    from lindsim.validation import validate_all
+
+    calls = count_plan_calls(monkeypatch, "validation", "harness", "norms")
+    report = validate_all(seed=0, suite="all")
+    assert report.passed
+    # generator_stats and the point solves of each of the 3 bounds sweeps, then the plan:
+    # 23 norms maps, 80 identities maps, 8 forking term maps and 2 sampling maps
+    assert len(calls) == 7 and calls[-1] == 23 + 80 + 8 + 2
+    calls.clear()
+    assert validate_all(seed=0, suite="forking").passed
+    assert calls == [2 + 3 + 3]  # the term maps of amp_damp, qubit3 and random d=2 m=3

@@ -362,6 +362,14 @@ def test_batch_uniforms_are_the_per_trajectory_streams(seed, start, n, width):
         assert np.array_equal(row, fresh)
 
 
-def test_draws_need_consecutive_trajectories(gen):
-    with pytest.raises(ValueError, match="consecutive"):
-        trajectory_channels(Method.QDRIFT, gen, 1.0, 4, 0, range(0, 8, 2))
+def test_stepped_trajectory_ranges_read_their_own_streams(gen):
+    trajectories = range(3, 40, 4)
+    u = _uniforms(17, trajectories, 6, 3)
+    for row, r in zip(u, trajectories):
+        fresh = np.random.Generator(np.random.Philox(key=17, counter=r << 128)).random((6, 3))
+        assert np.array_equal(row, fresh)
+    stepped = trajectory_channels(Method.QDRIFT, gen, 1.0, 4, 0, range(0, 8, 2))
+    whole = trajectory_channels(Method.QDRIFT, gen, 1.0, 4, 0, range(8))
+    assert np.max(np.abs(whole[::2] - stepped)) <= 1e-12
+    with pytest.raises(ValueError, match="nonnegative"):
+        trajectory_channels(Method.QDRIFT, gen, 1.0, 4, 0, range(-1, 2))
