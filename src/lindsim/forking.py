@@ -97,22 +97,14 @@ def _on_register(rho: np.ndarray, dims: tuple, register: int, superop: np.ndarra
     return np.einsum("baki,xiyzkw->xayzbw", s, t).reshape(rho.shape)
 
 
-def _s1_block(gen: GkslGenerator, dt: float) -> tuple:
-    """(layout, prep, route, branches): fair-coin control, forward sweep on
-    slot 1, reversed sweep on slot 2."""
-    layout = ForkLayout(control_dim=2, system_dim=gen.dim, n_ancillas=1)
-    branches = ((1, s1_dir(gen, dt, Direction.FORWARD)), (2, s1_dir(gen, dt, Direction.REVERSED)))
-    return layout, np.eye(2, dtype=complex) / 2, (_cswap_perm(layout, 1, 1, 2),), branches
-
-
-def _qdrift_block(gen: GkslGenerator, omega: float) -> tuple:
-    """(layout, prep, route, branches): rate-weighted control; control value
-    k - 1 routes the system to slot k, where term k's bare channel acts."""
-    m = gen.m_total
-    layout = ForkLayout(control_dim=m, system_dim=gen.dim, n_ancillas=m - 1)
+def _block(weights, channels, d: int) -> tuple:
+    """(layout, prep, route, branches) of a fork mixing ``channels`` by ``weights``:
+    control value k - 1 routes the system to slot k, where channel k acts (the
+    two sweeps at 1/2 each, or QDRIFT's bare terms at the rate weights)."""
+    m = len(channels)
+    layout = ForkLayout(control_dim=m, system_dim=d, n_ancillas=m - 1)
     route = tuple(_cswap_perm(layout, k - 1, 1, k) for k in range(2, m + 1))
-    branches = tuple((k, constituent_channel(gen, k, omega, with_rate=False)) for k in range(1, m + 1))
-    return layout, np.diag(qdrift_probs(gen)).astype(complex), route, branches
+    return layout, np.diag(weights).astype(complex), route, tuple(enumerate(channels, start=1))
 
 
 def _as_state(rho, dim, name) -> np.ndarray:
@@ -149,7 +141,8 @@ def fork_s1_step(gen: GkslGenerator, dt: float, rho_sys, rho_phi) -> DensityMatr
     sweep on the other; the swap routing makes the traced output the exact
     two-term mixture applied to the system state.
     """
-    return _run(_s1_block(gen, dt), 1, rho_sys, rho_phi, "system state")
+    sweeps = [s1_dir(gen, dt, direction) for direction in Direction]
+    return _run(_block((0.5, 0.5), sweeps, gen.dim), 1, rho_sys, rho_phi, "system state")
 
 
 def fork_s1_run(gen: GkslGenerator, t: float, n: int, rho0, rho_phi) -> DensityMatrix:
@@ -157,12 +150,14 @@ def fork_s1_run(gen: GkslGenerator, t: float, n: int, rho0, rho_phi) -> DensityM
     if n < 1:
         raise ValueError("step count must be a positive integer")
     dt = _S1_RAN.step_length(gen, t, n)
-    return _run(_s1_block(gen, dt), n, rho0, rho_phi, "initial state")
+    sweeps = [s1_dir(gen, dt, direction) for direction in Direction]
+    return _run(_block((0.5, 0.5), sweeps, gen.dim), n, rho0, rho_phi, "initial state")
 
 
 def fork_qdrift_step(gen: GkslGenerator, omega: float, rho_sys, rho_phi) -> DensityMatrix:
     """One QDRIFT fork block: rate-weighted control, per-slot term channels."""
-    return _run(_qdrift_block(gen, omega), 1, rho_sys, rho_phi, "system state")
+    terms = [constituent_channel(gen, k, omega, with_rate=False) for k in range(1, gen.m_total + 1)]
+    return _run(_block(qdrift_probs(gen), terms, gen.dim), 1, rho_sys, rho_phi, "system state")
 
 
 def fork_qdrift_run(gen: GkslGenerator, t: float, n: int, rho0, rho_phi) -> DensityMatrix:
@@ -170,4 +165,5 @@ def fork_qdrift_run(gen: GkslGenerator, t: float, n: int, rho0, rho_phi) -> Dens
     if n < 1:
         raise ValueError("step count must be a positive integer")
     omega = _QDRIFT.step_length(gen, t, n)
-    return _run(_qdrift_block(gen, omega), n, rho0, rho_phi, "initial state")
+    terms = [constituent_channel(gen, k, omega, with_rate=False) for k in range(1, gen.m_total + 1)]
+    return _run(_block(qdrift_probs(gen), terms, gen.dim), n, rho0, rho_phi, "initial state")

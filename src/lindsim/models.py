@@ -47,6 +47,8 @@ def _two_qubit_xy(coupling: float = 1.0, gamma_a: float = 0.5, gamma_b: float = 
 def _random(d: int = 2, m: int = 3, seed: int = 0) -> GkslGenerator:
     """Seeded random generator: unit-Frobenius Hermitian H and jump operators,
     rates uniform in [0.5, 1.5).  m counts all terms including the Hamiltonian."""
+    if not all(float(x).is_integer() for x in (d, m, seed)):
+        raise ValueError(f"random model needs integer d, m and seed, not d={d} m={m} seed={seed}")
     d, m, seed = int(d), int(m), int(seed)
     if d < 2 or m < 1:
         raise ValueError("random model needs d >= 2 and m >= 1")

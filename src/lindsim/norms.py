@@ -13,7 +13,8 @@ solved by the in-repo Nesterov-Todd interior-point method of ``lindsim.sdp``
 call: maps of one dimension are solved together in lockstep batches, and
 each map keeps its own certificate or error.  ``diamond_norm_certificates``
 raises the first map's error instead of returning it, and ``diamond_norm``
-and ``diamond_norm_solution`` are its one-map cases.
+and ``diamond_norm_solution`` are its one-map cases.  ``diamond_bracket``
+bounds the norm from both sides by feasible points of the program, unsolved.
 """
 
 from __future__ import annotations
@@ -24,14 +25,16 @@ from numbers import Integral
 import numpy as np
 
 from .lindblad import GkslGenerator, choi, is_cptp, term_superop
-from .linalg import dagger, devectorize, trace_norm, vectorize
+from .linalg import dagger
 from .sdp import SdpConvergenceError, SdpSolution, solve_diamond
 from .tolerances import TOL
 
+_SEESAW_STEPS = 40  # rounds of diamond_bracket's lower bound
+
 __all__ = [
     "GeneratorStats",
-    "apply_to_doubled_space",
     "certified",
+    "diamond_bracket",
     "diamond_norm",
     "diamond_norm_certificates",
     "diamond_norm_solution",
@@ -39,10 +42,23 @@ __all__ = [
     "generator_stats",
     "power_contraction_check",
     "power_contraction_maps",
-    "sampled_diamond_lower_bound",
     "term_maps",
     "term_stats",
 ]
+
+
+def _hermitian_choi(superop) -> np.ndarray:
+    """J of a d^2 x d^2 Hermiticity-preserving superoperator; else ``ValueError``."""
+    s = np.asarray(superop, dtype=complex)
+    d = int(round(np.sqrt(s.shape[0])))
+    if s.shape != (d * d, d * d):
+        raise ValueError(f"superoperator shape {s.shape} is not a square of squares")
+    j = choi(s, d)
+    herm_dev = float(np.max(np.abs(j - dagger(j))))
+    if not herm_dev <= TOL.herm_preserving_tol:
+        raise ValueError("superoperator is not Hermiticity-preserving "
+                         f"(Choi hermiticity deviation {herm_dev:.3e})")
+    return j
 
 
 def diamond_norm_solutions(superops) -> list:
@@ -58,18 +74,12 @@ def diamond_norm_solutions(superops) -> list:
     results = [None] * len(superops)
     by_dim = {}
     for i, superop in enumerate(superops):
-        s = np.asarray(superop, dtype=complex)
-        d = int(round(np.sqrt(s.shape[0])))
-        if s.shape != (d * d, d * d):
-            results[i] = ValueError(f"superoperator shape {s.shape} is not a square of squares")
+        try:
+            j = _hermitian_choi(superop)
+        except ValueError as exc:
+            results[i] = exc
             continue
-        j = choi(s, d)
-        herm_dev = float(np.max(np.abs(j - dagger(j))))
-        if not herm_dev <= TOL.herm_preserving_tol:
-            results[i] = ValueError("superoperator is not Hermiticity-preserving "
-                                    f"(Choi hermiticity deviation {herm_dev:.3e})")
-            continue
-        by_dim.setdefault(d, []).append((i, j, max(1.0, float(np.linalg.norm(j)))))
+        by_dim.setdefault(len(j), []).append((i, j, max(1.0, float(np.linalg.norm(j)))))
     for items in by_dim.values():
         index, chois, scales = zip(*items)
         scales = np.array(scales)
@@ -113,41 +123,32 @@ def diamond_norm(superop: np.ndarray) -> float:
     return float(diamond_norm_solution(superop).value)
 
 
-def apply_to_doubled_space(superop: np.ndarray, operator: np.ndarray) -> np.ndarray:
-    """(Phi (x) id)(A) for A on the doubled space C^d (x) C^d."""
-    s = np.asarray(superop, dtype=complex)
-    d = int(round(np.sqrt(s.shape[0])))
-    a = np.asarray(operator, dtype=complex).reshape(d, d, d, d)
-    out = np.empty_like(a)
-    for r in range(d):
-        for c in range(d):
-            out[:, r, :, c] = devectorize(s @ vectorize(a[:, r, :, c]))
-    return out.reshape(d * d, d * d)
+def diamond_bracket(superop: np.ndarray) -> tuple:
+    """(lower, upper) on ||superop||_diamond from two feasible points of Watrous'
+    program, without solving it; ``ValueError`` as ``diamond_norm_solutions``.
 
-
-def sampled_diamond_lower_bound(
-    superop: np.ndarray, n_samples: int = 50, seed: int = 0, pure: bool = True
-) -> float:
-    """Best primal-feasible value over random unit-trace-norm Hermitian inputs.
-
-    Every sample is a lower bound on the diamond norm; used as an independent
-    cross-check of the SDP value.
+    Lower, by seesaw: the input sum_a B|a>|a> (||B||_F = 1) has the output
+    X = (B (x) I) J (B^dag (x) I).  For U = sign(X), the top eigenvector of
+    K[(q,c),(p,a)] = sum_{x,y} U[(q,y),(p,x)] J[(a,x),(c,y)], read as B[p,a],
+    maximises tr(U X).  The largest ||X||_1 of ``_SEESAW_STEPS`` rounds from
+    B = I/sqrt(d) is kept.  Upper, by the Jordan split P = J_+, Q = J_-:
+    lambda_max(Tr_out |J|).
     """
-    s = np.asarray(superop, dtype=complex)
-    d = int(round(np.sqrt(s.shape[0])))
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    for _ in range(n_samples):
-        if pure:
-            psi = rng.normal(size=d * d) + 1j * rng.normal(size=d * d)
-            psi /= np.linalg.norm(psi)
-            a = np.outer(psi, psi.conj())
-        else:
-            g = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
-            a = (g + dagger(g)) / 2
-            a /= trace_norm(a)
-        best = max(best, trace_norm(apply_to_doubled_space(s, a)))
-    return best
+    j = _hermitian_choi(superop)
+    d = int(round(np.sqrt(len(j))))
+    w, v = np.linalg.eigh(j)
+    abs_j = ((v * abs(w)) @ dagger(v)).reshape((d,) * 4)
+    upper = float(np.linalg.eigvalsh(np.einsum("axcx->ac", abs_j))[-1])
+    j_xy = j.reshape((d,) * 4).transpose(1, 3, 0, 2).reshape(d * d, d * d)  # [(x,y), (a,c)]
+    b, lower = np.eye(d) / np.sqrt(d), 0.0
+    for _ in range(_SEESAW_STEPS):
+        b_in = np.kron(b, np.eye(d))
+        w, v = np.linalg.eigh(b_in @ j @ dagger(b_in))
+        lower = max(lower, float(np.sum(abs(w))))
+        u = ((v * np.sign(w)) @ dagger(v)).reshape((d,) * 4).transpose(0, 2, 3, 1)  # [q, p, x, y]
+        k = (u.reshape(d * d, d * d) @ j_xy).reshape((d,) * 4).transpose(0, 3, 1, 2)  # [q, c, p, a]
+        b = np.linalg.eigh(k.reshape(d * d, d * d))[1][:, -1].reshape(d, d)
+    return lower, upper
 
 
 @dataclass(frozen=True)
@@ -178,19 +179,18 @@ def term_maps(gen: GkslGenerator) -> list:
     return [term_superop(gen, k, with_rate=False) for k in range(1, gen.m_total + 1)]
 
 
-def generator_stats(gen: GkslGenerator, gamma_includes_hamiltonian: bool = True) -> GeneratorStats:
+def generator_stats(gen: GkslGenerator) -> GeneratorStats:
     """Diamond-norm statistics of a generator's terms: its ``term_maps``
     certified in one batch, read by ``term_stats``."""
-    return term_stats(gen, diamond_norm_solutions(term_maps(gen)), gamma_includes_hamiltonian)
+    return term_stats(gen, diamond_norm_solutions(term_maps(gen)))
 
 
-def term_stats(gen: GkslGenerator, solutions, gamma_includes_hamiltonian: bool = True) -> GeneratorStats:
+def term_stats(gen: GkslGenerator, solutions) -> GeneratorStats:
     """A generator's statistics from the first M of ``solutions`` (an iterator
     may be shared), those of its ``term_maps``; a failed term raises, naming k
     and d.  The diamond norm is homogeneous, so a rate-scaled term's norm is
-    its rate times the bare term's.  ``gamma_includes_hamiltonian`` keeps the
-    Hamiltonian's unit rate inside the total decay rate (the default); disable
-    to count dissipators only.
+    its rate times the bare term's.  The total rate counts the Hamiltonian's
+    unit rate.
     """
     bare = scaled = 0.0
     for k, sol in zip(range(1, gen.m_total + 1), solutions):  # range first: stops at term M
@@ -201,7 +201,7 @@ def term_stats(gen: GkslGenerator, solutions, gamma_includes_hamiltonian: bool =
             raise sol
         bare = max(bare, sol.value)
         scaled = max(scaled, gen.rate(k) * sol.value)
-    total = float(np.sum(gen.rates if gamma_includes_hamiltonian else gen.rates[1:]))
+    total = float(np.sum(gen.rates))
     return GeneratorStats(max_scaled_norm=scaled, max_bare_norm=bare, total_rate=total,
                           term_count=gen.m_total)
 

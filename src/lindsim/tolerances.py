@@ -17,7 +17,6 @@ class Tolerances:
     psd_floor: float = -1e-10        # smallest admissible eigenvalue of rho
     # channel physicality
     cptp_tol: float = 1e-9           # Choi positivity + trace-preservation
-    choi_trace_tol: float = 1e-8     # |tr J - d| for trace-preserving maps
     herm_preserving_tol: float = 1e-8  # Choi hermiticity check before SDP
     # matrix exponential contract
     mat_exp_rtol: float = 1e-12      # relative accuracy for ||A|| <= 100

@@ -21,8 +21,8 @@ from .harness import ConfigError, ExperimentSpec, fit_order, run_sweep
 from .lindblad import constituent_channel, exact_channel, full_liouvillian, is_cptp, term_superop
 from .linalg import DensityMatrix, dagger, devectorize, trace_distance, vectorize
 from .models import builtin_model
-from .norms import (certified, diamond_norm_solutions, power_contraction_maps,
-                    sampled_diamond_lower_bound, term_maps, term_stats)
+from .norms import (certified, diamond_bracket, diamond_norm_solutions, power_contraction_maps,
+                    term_maps, term_stats)
 from .sampling import draw_gateset, mixture_estimate
 from .tolerances import TOL
 
@@ -90,7 +90,7 @@ def _checks_norms(seed: int):
     u = np.diag([1.0, np.exp(1j * np.pi / 2)])
     hp, other = (term_superop(builtin_model("qubit3"), k, with_rate=True) for k in (2, 3))
     diff = _random_channel(rng) - np.eye(4)
-    lower = sampled_diamond_lower_bound(diff, n_samples=50, seed=int(rng.integers(0, 2**31)))
+    lower, upper = diamond_bracket(diff)
     library = _model_library()
     maps = ([exact_channel(builtin_model("amp_damp"), 0.7), np.zeros((4, 4)),
              np.eye(4) - np.kron(u.conj(), u), hp, 2.0 * hp, other, hp + other, diff]
@@ -111,8 +111,9 @@ def _checks_norms(seed: int):
                         f"value={pair:.9f}"),
             CheckResult("norms", "homogeneity_subadditivity", homog and subadd,
                         f"homogeneous={homog} subadditive={subadd}"),
-            CheckResult("norms", "dominates_sampled_inputs", val >= lower - 1e-6,
-                        f"sdp={val:.6f} best_sample={lower:.6f}"),
+            CheckResult("norms", "inside_bracket",
+                        lower - TOL.diamond_abs_tol <= val <= upper + TOL.diamond_abs_tol,
+                        f"lower={lower:.6f} sdp={val:.6f} upper={upper:.6f}"),
             CheckResult("norms", "generator_norm_bound",
                         all(lnorm <= st.term_count * st.max_scaled_norm + 1e-6 for _, lnorm, st in bounds),
                         " ".join(f"{name}:{lnorm:.3f}<={st.term_count * st.max_scaled_norm:.3f}"

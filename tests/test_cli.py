@@ -193,6 +193,17 @@ def test_malformed_config_is_bad_input(tmp_path, capsys):
     assert "exactly one" in capsys.readouterr().err
 
 
+def test_random_model_rejects_non_integer_parameters(tmp_path, capsys):
+    path = tmp_path / "frac.ini"
+    path.write_text(CONFIG.replace("amp_damp gamma=1.0", "random d=2.5 m=3.9 seed=1.5")
+                    .format(out=tmp_path / "out"))
+    assert main(["sweep", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "d=2.5 m=3.9 seed=1.5" in err
+    assert not (tmp_path / "out").exists()
+
+
 SAMPLED_CONFIG = """
 [experiment]
 model = random d=2 m=3 seed=7

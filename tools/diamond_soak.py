@@ -1,4 +1,4 @@
-"""Soak the batched diamond-norm solver against the HKM reference.
+"""Soak the batched diamond-norm solver against the HKM reference and the bracket.
 
 For every d and seed it builds a random generator and certifies three kinds
 of Hermiticity-preserving maps: every term superoperator with its rate,
@@ -6,10 +6,13 @@ every term without it, and differences between the exact channel and the
 forward first-order product formula at two step lengths.  All maps of one d
 go through ``lindsim.norms.diamond_norm_solutions`` in one call (lockstep
 batches of ``lindsim.sdp.batch_size(d)``); each map is then solved alone by
-the generic HKM solver kept in ``tests/sdp_reference.py``.  The results
-(failures, largest value difference, largest gap, iteration totals and
-per-solve times) are printed and, with ``--bench``, stored per d under the
-key ``soak`` of that JSON file.
+the generic HKM solver kept in ``tests/sdp_reference.py``, and each
+certified value is checked against ``lindsim.norms.diamond_bracket``.  The
+results (failures, bracket violations, largest value difference, largest
+gap, iteration totals, per-solve times, and the worst (value - lower) / value
+and upper / value of the brackets) are printed and, with ``--bench``, stored
+per d under the key ``soak`` of that JSON file.  The exit code is 1 if any
+map failed to certify or lay outside its bracket.
 
     python3 tools/diamond_soak.py --dims 2 3 4 5 --seeds 0 1 2 \
         --bench BENCH_diamond_batch.json
@@ -34,7 +37,7 @@ import lindsim  # noqa: E402  (sets the one-thread BLAS default before numpy loa
 from lindsim.formulas import Direction, s1_dir  # noqa: E402
 from lindsim.lindblad import exact_channel, term_superop  # noqa: E402
 from lindsim.models import builtin_model  # noqa: E402
-from lindsim.norms import diamond_norm_solutions  # noqa: E402
+from lindsim.norms import diamond_bracket, diamond_norm_solutions  # noqa: E402
 from lindsim.sdp import SdpConvergenceError, batch_size  # noqa: E402
 from lindsim.tolerances import TOL  # noqa: E402
 from sdp_reference import reference_diamond_norm  # noqa: E402
@@ -51,6 +54,30 @@ def soak_maps(d: int, seed: int, terms: int) -> list:
         maps.append((f"d={d} seed={seed} exact - s1_dir at t={t}",
                      exact_channel(gen, t) - s1_dir(gen, t, Direction.FORWARD)))
     return maps
+
+
+def bracket_check(maps, solved) -> dict:
+    """Each certified map of (label, superoperator) ``maps`` against its
+    ``diamond_bracket``: the maps outside it (lower > value + gap or
+    value - gap > upper, beyond 1e-9), the worst (value - lower) / value, the
+    worst upper / value, and the median time of one bracket."""
+    violations, shortfalls, ratios, times = [], [], [], []
+    for (label, s), sol in zip(maps, solved):
+        if isinstance(sol, Exception):
+            continue
+        start = time.perf_counter()
+        lower, upper = diamond_bracket(s)
+        times.append(1000 * (time.perf_counter() - start))
+        if lower > sol.value + sol.gap + 1e-9 or sol.value - sol.gap > upper + 1e-9:
+            violations.append(f"{label}: lower={lower!r} value={sol.value!r} gap={sol.gap!r} "
+                              f"upper={upper!r}")
+        if sol.value > 0:
+            shortfalls.append((sol.value - lower) / sol.value)
+            ratios.append(upper / sol.value)
+    return {"bracket_violations": violations,
+            "bracket_worst_lower_shortfall": max(shortfalls, default=None),
+            "bracket_worst_upper_ratio": max(ratios, default=None),
+            "bracket_ms_per_map_median": round(statistics.median(times), 2) if times else None}
 
 
 def soak_dimension(d: int, seeds, terms: int) -> dict:
@@ -70,6 +97,7 @@ def soak_dimension(d: int, seeds, terms: int) -> dict:
     out["max_gap"] = max((sol.gap for _, _, sol in ok), default=None)
     out["gap_within_tol"] = all(sol.gap <= TOL.sdp_gap_tol for _, _, sol in ok)
     out["iterations"] = sum(sol.iterations for _, _, sol in ok)
+    out.update(bracket_check(maps, solved))
     diffs, ref_ms, ref_iters, ref_failures = [], [], 0, []
     for label, s, sol in ok:
         start = time.perf_counter()
@@ -109,7 +137,7 @@ def main(argv=None) -> int:
         doc = json.loads(path.read_text()) if path.exists() else {}
         doc.setdefault("soak", {}).update(results)
         path.write_text(json.dumps(doc, indent=1) + "\n")
-    failed = sum(len(r["failures"]) for r in results.values())
+    failed = sum(len(r["failures"]) + len(r["bracket_violations"]) for r in results.values())
     return 1 if failed else 0
 
 
