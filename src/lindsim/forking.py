@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .formulas import METHODS, Direction, Method, qdrift_probs, s1_dir
-from .lindblad import GkslGenerator, constituent_channel
+from .formulas import METHODS, Method
+from .lindblad import GkslGenerator
 from .linalg import DensityMatrix, kron, partial_trace
 from .tolerances import TOL
 
@@ -33,8 +33,6 @@ __all__ = [
     "fork_s1_run",
     "fork_s1_step",
 ]
-
-_S1_RAN, _QDRIFT = METHODS[Method.S1_RAN], METHODS[Method.QDRIFT]  # the methods a fork realises
 
 
 @dataclass(frozen=True)
@@ -97,16 +95,6 @@ def _on_register(rho: np.ndarray, dims: tuple, register: int, superop: np.ndarra
     return np.einsum("baki,xiyzkw->xayzbw", s, t).reshape(rho.shape)
 
 
-def _block(weights, channels, d: int) -> tuple:
-    """(layout, prep, route, branches) of a fork mixing ``channels`` by ``weights``:
-    control value k - 1 routes the system to slot k, where channel k acts (the
-    two sweeps at 1/2 each, or QDRIFT's bare terms at the rate weights)."""
-    m = len(channels)
-    layout = ForkLayout(control_dim=m, system_dim=d, n_ancillas=m - 1)
-    route = tuple(_cswap_perm(layout, k - 1, 1, k) for k in range(2, m + 1))
-    return layout, np.diag(weights).astype(complex), route, tuple(enumerate(channels, start=1))
-
-
 def _as_state(rho, dim, name) -> np.ndarray:
     mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
     if mat.shape != (dim, dim):
@@ -114,18 +102,27 @@ def _as_state(rho, dim, name) -> np.ndarray:
     return mat
 
 
-def _run(block: tuple, n: int, rho0, rho_phi, name: str) -> DensityMatrix:
-    """n blocks of prepare, route, branch, unroute, trace out."""
-    layout, prep, route, branches = block
-    sys_mat = _as_state(rho0, layout.system_dim, name)
-    phi_mat = _as_state(rho_phi, layout.system_dim, "work state")
+def _fork(method: Method, gen: GkslGenerator, dt: float, n: int, rho0, rho_phi,
+          name: str) -> DensityMatrix:
+    """n blocks of prepare, route, branch, unroute, trace out.  The control is
+    prepared in the normalised weights of ``method``'s sampler support, and
+    control value k - 1 routes the system to slot k, where support step k - 1 acts."""
+    if dt <= 0:
+        raise ValueError("step length must be positive")
+    weights, steps = METHODS[method].sampler.support(gen)
+    layout = ForkLayout(control_dim=len(steps), system_dim=gen.dim, n_ancillas=len(steps) - 1)
+    route = [_cswap_perm(layout, k - 1, 1, k) for k in range(2, len(steps) + 1)]
+    prep = np.diag(np.divide(weights, np.sum(weights))).astype(complex)
+    channels = [step.channel(gen, dt) for step in steps]
+    sys_mat = _as_state(rho0, gen.dim, name)
+    phi_mat = _as_state(rho_phi, gen.dim, "work state")
     for _ in range(n):
         rho = kron(prep, sys_mat)
         for _ in range(layout.n_ancillas):
             rho = kron(rho, phi_mat)
         for perm in route:
             rho = rho[np.ix_(perm, perm)]
-        for register, channel in branches:
+        for register, channel in enumerate(channels, start=1):
             rho = _on_register(rho, layout.dims, register, channel)
         for perm in route:
             rho = rho[np.ix_(perm, perm)]
@@ -134,36 +131,27 @@ def _run(block: tuple, n: int, rho0, rho_phi, name: str) -> DensityMatrix:
 
 
 def fork_s1_step(gen: GkslGenerator, dt: float, rho_sys, rho_phi) -> DensityMatrix:
-    """One fork block of the first-order randomised formula.
-
-    Control prepared in the fair coin mixture; the forward sweep acts on the
-    register holding the system state in the control-0 branch, the reversed
-    sweep on the other; the swap routing makes the traced output the exact
-    two-term mixture applied to the system state.
-    """
-    sweeps = [s1_dir(gen, dt, direction) for direction in Direction]
-    return _run(_block((0.5, 0.5), sweeps, gen.dim), 1, rho_sys, rho_phi, "system state")
+    """One fork block of the first-order randomised formula: a fair-coin
+    control, the forward sweep in the control-0 branch, the reversed in the other."""
+    return _fork(Method.S1_RAN, gen, dt, 1, rho_sys, rho_phi, "system state")
 
 
 def fork_s1_run(gen: GkslGenerator, t: float, n: int, rho0, rho_phi) -> DensityMatrix:
     """n fork blocks with control/work re-preparation between blocks."""
     if n < 1:
         raise ValueError("step count must be a positive integer")
-    dt = _S1_RAN.step_length(gen, t, n)
-    sweeps = [s1_dir(gen, dt, direction) for direction in Direction]
-    return _run(_block((0.5, 0.5), sweeps, gen.dim), n, rho0, rho_phi, "initial state")
+    dt = METHODS[Method.S1_RAN].step_length(gen, t, n)
+    return _fork(Method.S1_RAN, gen, dt, n, rho0, rho_phi, "initial state")
 
 
 def fork_qdrift_step(gen: GkslGenerator, omega: float, rho_sys, rho_phi) -> DensityMatrix:
     """One QDRIFT fork block: rate-weighted control, per-slot term channels."""
-    terms = [constituent_channel(gen, k, omega, with_rate=False) for k in range(1, gen.m_total + 1)]
-    return _run(_block(qdrift_probs(gen), terms, gen.dim), 1, rho_sys, rho_phi, "system state")
+    return _fork(Method.QDRIFT, gen, omega, 1, rho_sys, rho_phi, "system state")
 
 
 def fork_qdrift_run(gen: GkslGenerator, t: float, n: int, rho0, rho_phi) -> DensityMatrix:
     """n QDRIFT fork blocks at QDRIFT's step length t * total_rate / n."""
     if n < 1:
         raise ValueError("step count must be a positive integer")
-    omega = _QDRIFT.step_length(gen, t, n)
-    terms = [constituent_channel(gen, k, omega, with_rate=False) for k in range(1, gen.m_total + 1)]
-    return _run(_block(qdrift_probs(gen), terms, gen.dim), n, rho0, rho_phi, "initial state")
+    omega = METHODS[Method.QDRIFT].step_length(gen, t, n)
+    return _fork(Method.QDRIFT, gen, omega, n, rho0, rho_phi, "initial state")

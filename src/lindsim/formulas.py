@@ -94,7 +94,7 @@ def s2_det(gen: GkslGenerator, dt: float) -> np.ndarray:
 
 def s1_ran_exact(gen: GkslGenerator, dt: float) -> np.ndarray:
     """Equal mixture of the forward and reversed first-order formulas."""
-    return 0.5 * (s1_dir(gen, dt, Direction.FORWARD) + s1_dir(gen, dt, Direction.REVERSED))
+    return _mixture(Method.S1_RAN, gen, dt)
 
 
 def s2_sigma(gen: GkslGenerator, dt: float, sigma) -> np.ndarray:
@@ -115,18 +115,7 @@ def s2_sigma(gen: GkslGenerator, dt: float, sigma) -> np.ndarray:
 
 def s2_ran_exact(gen: GkslGenerator, dt: float) -> np.ndarray:
     """Uniform mixture of the permuted second-order formulas over all M! orders."""
-    m = gen.m_total
-    if m > TOL.s2_ran_max_terms:
-        raise ValueError(
-            f"exact mixture over {m}! permutations refused (cap M <= "
-            f"{TOL.s2_ran_max_terms}); use mixture_estimate for a sampled surrogate"
-        )
-    total = np.zeros((gen.dim**2, gen.dim**2), dtype=complex)
-    count = 0
-    for sigma in itertools.permutations(range(1, m + 1)):
-        total += s2_sigma(gen, dt, sigma)
-        count += 1
-    return total / count
+    return _mixture(Method.S2_RAN, gen, dt)
 
 
 def qdrift_probs(gen: GkslGenerator) -> np.ndarray:
@@ -140,13 +129,15 @@ def qdrift_probs(gen: GkslGenerator) -> np.ndarray:
 
 def qdrift_exact(gen: GkslGenerator, omega: float) -> np.ndarray:
     """Rate-weighted mixture of single-term rate-free channels."""
-    if omega <= 0:
+    return _mixture(Method.QDRIFT, gen, omega)
+
+
+def _mixture(method: Method, gen: GkslGenerator, dt: float) -> np.ndarray:
+    """Sum of w * step.channel(gen, dt) / sum of w over ``method``'s sampler support."""
+    if dt <= 0:
         raise ValueError("step length must be positive")
-    probs = qdrift_probs(gen)
-    total = np.zeros((gen.dim**2, gen.dim**2), dtype=complex)
-    for k in range(1, gen.m_total + 1):
-        total += probs[k - 1] * constituent_channel(gen, k, omega, with_rate=False)
-    return total
+    weights, steps = METHODS[method].sampler.support(gen)
+    return sum(w * step.channel(gen, dt) for w, step in zip(weights, steps)) / float(np.sum(weights))
 
 
 # ---------------------------------------------------------------------------
@@ -181,10 +172,13 @@ class TermExp:
 
 @dataclass(frozen=True)
 class Sampler:
-    """How a randomised method draws a step: ``width(m)`` uniforms per step,
-    ``codes(u, gen)`` maps the (..., width) uniforms to integer step codes,
-    and ``step(code, m)`` is the schedule step a code stands for."""
+    """The convex mixture a randomised method realises, and how it draws from it:
+    ``support(gen)`` is ``(weights, steps)``, every schedule step the method can
+    take with its relative weight, which the exact channel and the fork circuit
+    read.  A draw takes ``width(m)`` uniforms per step, ``codes(u, gen)`` maps
+    them to integer step codes and ``step(code, m)`` is a code's step."""
 
+    support: Callable
     width: Callable
     codes: Callable
     step: Callable
@@ -197,10 +191,11 @@ class MethodRecord:
     ``bound(stats, t, n, conservative)`` is the large-N error bound, of order
     ``order`` in 1/n, and ``growth(stats, t, n)`` the exponent that
     ``with_exp_factor`` restores.  ``channel(gen, dt)`` is the exact one-step
-    (mixture) channel at step length ``step_length(gen, t, n)``.  Gate counts
-    are per step and functions of M; ``gates_qf`` is None where forking is
-    undefined.  The channel functions are looked up by name at call time, so
-    a re-bound module attribute (a tracer, a test double) is what runs.
+    channel at step length ``step_length(gen, t, n)``, for a randomised method
+    the mixture over its ``sampler``'s support.  Gate counts are per step and
+    functions of M; ``gates_qf`` is None where forking is undefined.  The
+    channel functions are looked up by name at call time, so a re-bound module
+    attribute (a tracer, a test double) is what runs.
     """
 
     label: str
@@ -235,6 +230,15 @@ def _permutation_codes(u: np.ndarray, gen: GkslGenerator) -> np.ndarray:
     return np.argsort(u, axis=-1, kind="stable") @ digits
 
 
+def _permutation_support(gen: GkslGenerator) -> tuple:
+    """Every term order at weight 1, refused beyond ``TOL.s2_ran_max_terms`` terms."""
+    m = gen.m_total
+    if m > TOL.s2_ran_max_terms:
+        raise ValueError(f"exact mixture over {m}! permutations refused (cap M <= "
+                         f"{TOL.s2_ran_max_terms}); use mixture_estimate for a sampled surrogate")
+    return (1.0,) * math.factorial(m), [S2Block(p) for p in itertools.permutations(range(1, m + 1))]
+
+
 def _term_codes(u: np.ndarray, gen: GkslGenerator) -> np.ndarray:
     """Rate-weighted term draw: code k - 1 for term k, by inverse-CDF lookup."""
     cdf = np.cumsum(qdrift_probs(gen))
@@ -266,6 +270,7 @@ METHODS = {
         complexity_cs="O((tΛ)^(3/2)M^(5/2)/√(3ε))",
         complexity_qf="O((tΛ)^(3/2)M^(5/2)/√(3ε))",
         sampler=Sampler(
+            support=lambda gen: ((1.0, 1.0), [S1Block(d) for d in Direction]),
             width=lambda m: 1,  # code 0: forward sweep, 1: reversed
             codes=lambda u, gen: (u[..., 0] >= 0.5).astype(np.int64),
             step=lambda code, m: S1Block(Direction.REVERSED if code else Direction.FORWARD))),
@@ -279,7 +284,7 @@ METHODS = {
         gates_cs=lambda m: 2 * m, gates_qf=None,
         complexity_cs="O((tΛ)^(3/2)M²/√ε)", complexity_qf=None,
         sampler=Sampler(
-            width=lambda m: m, codes=_permutation_codes,
+            support=_permutation_support, width=lambda m: m, codes=_permutation_codes,
             step=lambda code, m: S2Block(tuple(1 + code // m**j % m for j in range(m - 1, -1, -1))))),
     Method.QDRIFT: MethodRecord(
         label="QDRIFT", order=1,
@@ -290,6 +295,7 @@ METHODS = {
         gates_cs=lambda m: 1, gates_qf=lambda m: 3 * m - 2,
         complexity_cs="O((tΓΩ)²/ε)", complexity_qf="O((tΓΩ)²M/ε)",
         sampler=Sampler(
+            support=lambda gen: (gen.rates, [TermExp(k + 1, with_rate=False) for k in range(gen.m_total)]),
             width=lambda m: 1, codes=_term_codes,
             step=lambda code, m: TermExp(k=code + 1, with_rate=False))),
 }

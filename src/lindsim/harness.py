@@ -21,7 +21,7 @@ from .lindblad import GkslGenerator, exact_channel, load_generator
 from .linalg import DensityMatrix, devectorize, trace_distance, vectorize
 from .models import builtin_model
 from .norms import GeneratorStats, diamond_norm_solutions, generator_stats
-from .sampling import trajectory_channels
+from .sampling import trajectory_sum
 
 __all__ = [
     "ConfigError",
@@ -228,8 +228,7 @@ def sweep_point_channel(spec: ExperimentSpec, gen: GkslGenerator, method: Method
     """
     if spec.sampled and METHODS[method].sampler is not None:
         batches = trajectory_batches(spec.trajectories)
-        sums = [trajectory_channels(method, gen, spec.t, n, spec.seed, b).sum(axis=0)
-                for b in batches]
+        sums = [trajectory_sum(method, gen, spec.t, n, spec.seed, b) for b in batches]
         return sum(sums) / spec.trajectories, [t_exact - s / len(b) for s, b in zip(sums, batches)]
     return np.linalg.matrix_power(METHODS[method].step_channel(gen, spec.t, n), n), None
 

@@ -25,11 +25,11 @@ from .linalg import DensityMatrix, devectorize, vectorize
 from .norms import GeneratorStats, generator_stats
 
 __all__ = [
-    "GateSet", "S1Block", "S2Block", "TermExp", "apply_gateset", "draw_gateset",
-    "gateset_channel", "mixture_estimate", "sample_gateset", "trajectory_channels",
+    "GateSet", "S1Block", "S2Block", "TermExp", "apply_gateset", "draw_gateset", "gateset_channel",
+    "mixture_estimate", "sample_gateset", "trajectory_channels", "trajectory_sum",
 ]
 
-_CHUNK = 256  # trajectories multiplied out together by mixture_estimate
+_CHUNK = 256  # trajectory_sum multiplies out this many at once: memory does not grow with the count
 _TABLE_BYTES = 1 << 22  # largest window table _products builds
 _CALL_COST = 8  # one stacked matmul call costs about as much as 8 small products in it
 
@@ -181,11 +181,17 @@ def trajectory_channels(method: Method, gen: GkslGenerator, t: float, n: int, se
     return _products(steps, index, gen, dt)
 
 
+def trajectory_sum(method: Method, gen: GkslGenerator, t: float, n: int, seed: int,
+                   trajectories: range) -> np.ndarray:
+    """Sum of the schedule channels of the given trajectories, _CHUNK at a time."""
+    chunks = (trajectories[lo:lo + _CHUNK] for lo in range(0, len(trajectories), _CHUNK))
+    return sum(trajectory_channels(method, gen, t, n, seed, c).sum(axis=0) for c in chunks)
+
+
 def mixture_estimate(method: Method, gen: GkslGenerator, t: float, n: int,
                      r_samples: int, seed: int) -> np.ndarray:
     """Monte Carlo average of r sampled schedule channels (unbiased for the exact
     mixture channel power); r = 1 reproduces the default gate set."""
     if r_samples < 1:
         raise ValueError("need at least one trajectory")
-    return sum(trajectory_channels(method, gen, t, n, seed, range(lo, min(lo + _CHUNK, r_samples)))
-               .sum(axis=0) for lo in range(0, r_samples, _CHUNK)) / r_samples
+    return trajectory_sum(method, gen, t, n, seed, range(r_samples)) / r_samples

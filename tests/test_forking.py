@@ -320,3 +320,13 @@ def test_fork_qdrift_at_dimension_cap():
     assert trace_distance(runs[0].matrix, mixture_state(np.linalg.matrix_power(chan, n), RHO0)) <= 1e-10
     assert trace_distance(runs[0], runs[1]) <= 1e-10
     assert trace_distance(runs[0], runs[2]) <= 1e-10
+
+
+@pytest.mark.parametrize("fork, args", [
+    (fork_s1_step, ()), (fork_s1_run, (2,)), (fork_qdrift_step, ()), (fork_qdrift_run, (2,))])
+@pytest.mark.parametrize("length", [0.0, -1.0])
+def test_forks_reject_nonpositive_step_lengths(fork, args, length):
+    # every fork refuses what qdrift_exact refuses, for t and dt alike
+    gen = builtin_model("amp_damp")
+    with pytest.raises(ValueError, match="^step length must be positive$"):
+        fork(gen, length, *args, RHO0, PHIS[0])

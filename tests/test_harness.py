@@ -199,6 +199,30 @@ def test_sampled_point_is_the_trajectory_mean():
     assert np.max(np.abs(total - expected)) <= 1e-12
 
 
+def test_sampled_sweep_multiplies_out_one_chunk_at_a_time(monkeypatch):
+    # 4096 trajectories make batches of 512; each is summed 256 trajectories at
+    # a time, so memory does not grow with the count, and the batch means are
+    # the unchunked ones
+    import lindsim.sampling as sampling
+    from lindsim.lindblad import exact_channel
+
+    spec = ExperimentSpec(model="random d=2 m=3 seed=7", methods=(Method.S1_RAN, Method.QDRIFT),
+                          t=1.0, n_grid=(6,), seed=4, trajectories=4096, sampled=True)
+    real, rows = sampling._products, []
+    monkeypatch.setattr(sampling, "_products",
+                        lambda steps, index, *a: rows.append(len(index)) or real(steps, index, *a))
+    assert all(r.status == "ok" for r in run_sweep(spec, write_files=False))
+    assert max(rows) <= 256 and sum(rows) == 2 * 4096
+    monkeypatch.undo()
+    gen = resolve_model(spec)
+    t_exact = exact_channel(gen, 1.0)
+    for method in spec.methods:
+        _, batch_errors = sweep_point_channel(spec, gen, method, 6, t_exact)
+        for err, b in zip(batch_errors, trajectory_batches(4096)):
+            unchunked = sampling.trajectory_channels(method, gen, 1.0, 6, 4, b).mean(axis=0)
+            assert np.max(np.abs(err - (t_exact - unchunked))) <= 1e-13
+
+
 def test_sampled_sweep_certifies_batch_means_with_the_points(monkeypatch):
     # generator_stats is one batch; every point's error and its 8 batch-mean
     # errors are the other; stat_err comes from those certificates

@@ -4,7 +4,7 @@ import signal
 import numpy as np
 import pytest
 
-from lindsim.formulas import Direction, Method, qdrift_exact, s1_dir, s2_ran_exact, s2_sigma
+from lindsim.formulas import METHODS, Direction, Method, qdrift_exact, s1_dir, s2_ran_exact, s2_sigma
 from lindsim.lindblad import GkslGenerator, constituent_channel, is_cptp
 from lindsim.linalg import DensityMatrix, devectorize, vectorize
 from lindsim.models import builtin_model
@@ -67,6 +67,26 @@ def test_qdrift_frequency_concentration():
     gs = draw_gateset(Method.QDRIFT, amp, 1.0, 10_000, seed=42)
     frac = sum(1 for s in gs.steps if s.k == 2) / 10_000
     assert 0.73 <= frac <= 0.77
+
+
+SUPPORT_CASES = [(method, "random", dict(d=2, m=3, seed=7))
+                 for method, record in METHODS.items() if record.sampler]
+SUPPORT_CASES.append((Method.QDRIFT, "amp_damp", dict(gamma=3.0)))
+
+
+@pytest.mark.parametrize("method, model, params", SUPPORT_CASES)
+def test_draws_follow_the_support(method, model, params):
+    # every drawn step is in the support, at its normalised weight within 5 sigma
+    g = builtin_model(model, params)
+    weights, steps = METHODS[method].sampler.support(g)
+    probs = np.asarray(weights, dtype=float) / np.sum(weights)
+    n = 20_000
+    _, drawn, index = _draw(method, g, 1.0, n, 11, range(1))
+    assert set(drawn) <= set(steps)
+    counts = np.bincount(index.ravel(), minlength=len(drawn))
+    freq = {step: c / n for step, c in zip(drawn, counts)}
+    for step, p in zip(steps, probs):
+        assert abs(freq.get(step, 0.0) - p) <= 5 * np.sqrt(p * (1 - p) / n)
 
 
 def test_s2_permutations_are_uniformish(gen):
