@@ -1,8 +1,13 @@
 """Command-line interface.
 
 Subcommands: simulate, sweep, validate, table1, gatecount.  Exit codes:
-0 success, 1 a validation/bound check failed or the diamond-norm solver did
-not converge, 2 bad input.
+0 success, 1 a validation check failed or the diamond-norm solver did not
+converge, 2 bad input.  A sweep that records failed points exits 1 if the
+solver failed on one of them, else 2: the others could not be built from
+the input.
+
+Each handler imports the modules its subcommand uses, so a sweep does not
+load the validation suites or the forking layer.
 """
 
 from __future__ import annotations
@@ -13,23 +18,9 @@ import sys
 import numpy as np
 
 from .formulas import Implementation, Method, error_bound, gate_count
-from .harness import (
-    ConfigError,
-    batch_standard_error,
-    fit_order,
-    initial_state,
-    load_experiment,
-    point_steps,
-    resolve_model,
-    run_sweep,
-    sweep_point_channel,
-    table1_report,
-)
-from .lindblad import GeneratorFormatError, exact_channel, is_cptp
-from .linalg import devectorize, trace_distance, vectorize
-from .norms import diamond_norm_certificates, generator_stats
 from .sdp import SdpConvergenceError
-from .validation import validate_all
+
+_SOLVER_ERRORS = (SdpConvergenceError, np.linalg.LinAlgError)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -80,6 +71,12 @@ def _fmt_state(rho: np.ndarray) -> str:
 
 
 def _cmd_simulate(args) -> int:
+    from .harness import (batch_standard_error, initial_state, load_experiment, point_steps,
+                          resolve_model, sweep_point_channel)
+    from .lindblad import exact_channel, is_cptp
+    from .linalg import devectorize, trace_distance, vectorize
+    from .norms import diamond_norm_certificates, generator_stats
+
     spec = load_experiment(args.config)
     gen = resolve_model(spec)
     stats = generator_stats(gen)
@@ -111,6 +108,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from .harness import fit_order, load_experiment, run_sweep
+
     spec = load_experiment(args.config)
     records = run_sweep(spec)
     failures = [r for r in records if r.status != "ok"]
@@ -127,10 +126,18 @@ def _cmd_sweep(args) -> int:
             slope = fit_order(rows)[method]
             print(f"order {method.value}: slope {slope:+.3f}")
     print(f"wrote {spec.outputs}/sweep.csv")
-    return 1 if failures else 0
+    if not failures:
+        return 0
+    unsolved = [r for r in failures if isinstance(r.error, _SOLVER_ERRORS)]
+    first = (unsolved or failures)[0].status.removeprefix("error: ")
+    print(f"error: {'solver failed: ' if unsolved else ''}{first} "
+          f"({len(failures)} of {len(records)} points failed)", file=sys.stderr)
+    return 1 if unsolved else 2
 
 
 def _cmd_validate(args) -> int:
+    from .validation import validate_all
+
     report = validate_all(seed=args.seed, suite=args.suite)
     print(report.table())
     if args.csv:
@@ -140,6 +147,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_table1(args) -> int:
+    from .harness import table1_report
+
     print(table1_report(m=args.m, t=args.t, lam=args.lam, gamma=args.gamma,
                         omega=args.omega, eps=args.eps,
                         conservative=args.conservative_bounds))
@@ -165,14 +174,17 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (SdpConvergenceError, np.linalg.LinAlgError) as exc:
+    except _SOLVER_ERRORS as exc:
         print(f"error: solver failed: {exc}", file=sys.stderr)
         return 1
-    except (ConfigError, GeneratorFormatError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ConfigError and GeneratorFormatError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OverflowError as exc:  # a bound formula overflowed on the numbers given
         print(f"error: input out of range ({exc.args[-1]})", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy refused an allocation the model needs
+        print(f"error: input too large ({exc})", file=sys.stderr)
         return 2
 
 

@@ -103,6 +103,7 @@ class SweepRecord:
     status: str
     wall_time_ms: int
     stat_err: float | None = None
+    error: Exception | None = None  # why a point failed; not written to the CSV
 
 
 def _parse_model_field(value: str):
@@ -236,7 +237,8 @@ def sweep_point_channel(spec: ExperimentSpec, gen: GkslGenerator, method: Method
 def _error_record(method: Method, n: int, exc: Exception) -> SweepRecord:
     return SweepRecord(method=method, n=n, epsilon_bound=float("nan"),
                        epsilon_empirical=float("nan"), trace_dist=float("nan"), gates_cs=0,
-                       gates_qf=None, status=f"error: {method.value} N={n}: {exc}", wall_time_ms=0)
+                       gates_qf=None, status=f"error: {method.value} N={n}: {exc}", wall_time_ms=0,
+                       error=exc)
 
 
 def run_sweep(spec: ExperimentSpec, write_files: bool = True):

@@ -5,6 +5,9 @@ diamond-norm solutions, in order, into ``CheckResult``s.  ``validate_all``
 certifies the maps of every selected suite in one ``diamond_norm_solutions``
 call, then runs the judges in suite order.  The bounds suite certifies
 through ``run_sweep`` instead, because it validates the sweep path itself.
+
+``harness`` and ``sampling`` are imported by the suites that use them, so a
+run of another suite does not load them.
 """
 
 from __future__ import annotations
@@ -17,13 +20,11 @@ import numpy as np
 
 from . import forking
 from .formulas import METHODS, Direction, Method, error_bound, qdrift_exact, s1_ran_exact
-from .harness import ConfigError, ExperimentSpec, fit_order, run_sweep
 from .lindblad import constituent_channel, exact_channel, full_liouvillian, is_cptp, term_superop
 from .linalg import DensityMatrix, dagger, devectorize, trace_distance, vectorize
 from .models import builtin_model
 from .norms import (certified, diamond_bracket, diamond_norm_solutions, power_contraction_maps,
                     term_maps, term_stats)
-from .sampling import draw_gateset, mixture_estimate
 from .tolerances import TOL
 
 __all__ = ["CheckResult", "ValidationReport", "validate_all"]
@@ -200,6 +201,8 @@ def _checks_identities(seed: int):
 
 
 def _checks_bounds(seed: int):
+    from .harness import ExperimentSpec, fit_order, run_sweep
+
     out = []
     t = 1.0
     grid = (4, 8, 16, 32, 64)
@@ -271,6 +274,8 @@ def _checks_forking(seed: int):
 
 
 def _checks_sampling(seed: int):
+    from .sampling import draw_gateset, mixture_estimate
+
     out = []
     gen = builtin_model("random", dict(d=2, m=3, seed=7))
     a = draw_gateset(Method.S2_RAN, gen, 1.0, 64, seed)
@@ -317,6 +322,8 @@ def validate_all(seed: int = 0, suite: str = "all") -> ValidationReport:
     elif suite in _SUITES:
         names = [suite]
     else:
+        from .harness import ConfigError
+
         raise ConfigError(f"unknown suite '{suite}' (known: all, {', '.join(_SUITES)})")
     plans = [_SUITES[name](seed) for name in names]
     solved = iter(diamond_norm_solutions([m for maps, _ in plans for m in maps]))

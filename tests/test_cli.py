@@ -3,7 +3,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lindsim import norms
@@ -119,6 +119,50 @@ def test_gatecount_exits_0_or_2_on_any_numbers(method, impl, odd):
                         *(f"{flag}={value}" for flag, value in values.items())])
 
 
+@pytest.mark.parametrize("command", ["sweep", "simulate"])
+def test_model_too_large_to_allocate_is_bad_input(command, tmp_path, capsys):
+    # numpy refuses a d = 10^9 model's 6.94 EiB arrays before allocating anything
+    path = tmp_path / "huge.ini"
+    path.write_text(CONFIG.replace("amp_damp gamma=1.0", "random d=1000000000 m=3 seed=1")
+                    .format(out=tmp_path / "out"))
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: input too large (") and err.count("\n") == 1
+
+
+# a sweep or simulate config whose numbers are sane except the drawn ones
+SWEEP_CONFIG = {"t": "1.0", "grid": None, "seed": "1", "trajectories": "8", "model": "1"}
+MODELS = ("amp_damp gamma={}", "random d=2 m=2 seed={}", "random d=1000000000 m=3 seed={}")
+
+
+@settings(max_examples=60, deadline=None)
+@given(command=st.sampled_from(["sweep", "simulate"]),
+       model=st.sampled_from(MODELS),
+       grid=st.sampled_from([("n_grid", "4"), ("epsilon_grid", "0.1")]),
+       odd=st.dictionaries(st.sampled_from(list(SWEEP_CONFIG)), NUMBERS, min_size=1, max_size=2))
+# a point whose exact step overflows to inf is bad input, not a solver failure
+@example("sweep", MODELS[0], ("n_grid", "4"), {"model": "0.0", "t": "2.7958224665139688e+20"})
+# a point the solver cannot certify exits 1, saying so
+@example("sweep", MODELS[0], ("epsilon_grid", "0.1"),
+         {"model": "17297280.0", "grid": "2.1012563011198427e-207"})
+def test_sweep_and_simulate_exit_0_1_or_2_on_any_numbers(command, model, grid, odd):
+    import tempfile
+    from pathlib import Path
+
+    grid_key, grid_value = grid
+    values = {**SWEEP_CONFIG, "grid": grid_value, **odd}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "exp.ini"
+        path.write_text(f"[experiment]\nmodel = {model.format(values['model'])}\n"
+                        f"methods = s1_det\nt = {values['t']}\n{grid_key} = {values['grid']}\n"
+                        f"seed = {values['seed']}\ntrajectories = {values['trajectories']}\n"
+                        f"outputs = {Path(tmp) / 'out'}\n")
+        code, err = run_cli([command, str(path)])
+    assert code in (0, 1, 2), (values, code, err)
+    assert "Traceback" not in err
+    assert code != 1 or "solver failed" in err, (values, err)
+
+
 def test_sweep_with_epsilon_grid(tmp_path, capsys):
     path = tmp_path / "eps.ini"
     path.write_text(
@@ -171,6 +215,24 @@ def test_solver_failure_exits_1(config_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "step collapsed" in err and "3.000e-04" in err
+
+
+def test_sweep_with_an_unsolved_point_exits_1(config_path, monkeypatch, capsys):
+    # generator_stats certifies; the sweep's one batch of points fails
+    real = norms.solve_diamond
+    calls = []
+
+    def failing_points(chois, gap_tols, **kwargs):
+        calls.append(len(chois))
+        if len(calls) == 1:
+            return real(chois, gap_tols, **kwargs)
+        return [SdpConvergenceError("interior-point step collapsed", 3e-4) for _ in chois]
+
+    monkeypatch.setattr(norms, "solve_diamond", failing_points)
+    assert main(["sweep", config_path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: solver failed: s1_det N=4: interior-point step collapsed")
+    assert err.count("\n") == 1 and "(6 of 6 points failed)" in err
 
 
 @pytest.mark.parametrize("suite, named", [("forking", "term 1 of a d=2 generator"),
@@ -285,3 +347,58 @@ def test_cli_imports_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          timeout=120, check=True)
     assert out.stdout.strip() == "[]"
+
+
+
+
+IMPORT_SURFACE = """
+import sys
+
+def loaded():
+    return " ".join(sorted(m for m in sys.modules if m.startswith("lindsim.")))
+
+import lindsim
+lindsim.builtin_model, lindsim.generator_stats, lindsim.exact_channel
+print(loaded())
+import lindsim.cli
+print(loaded())
+print(lindsim.forking.__name__, hasattr(lindsim, "no_such_name"))
+import os
+print(os.environ["OPENBLAS_NUM_THREADS"])
+"""
+
+
+def test_entry_points_load_only_the_modules_they_use():
+    # import lindsim sets the BLAS default and loads each public name on first use
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import lindsim
+
+    src = str(Path(lindsim.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = src + os.pathsep + os.environ.get("PYTHONPATH", "")
+    out = subprocess.run([sys.executable, "-c", IMPORT_SURFACE], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    setup, cli, submodule, threads = out.stdout.splitlines()
+    assert not {"lindsim.cli", "lindsim.harness", "lindsim.formulas", "lindsim.sampling",
+                "lindsim.forking", "lindsim.validation"} & set(setup.split())
+    assert not {"lindsim.validation", "lindsim.forking"} & set(cli.split())
+    assert submodule == "lindsim.forking False"  # a submodule loads on attribute access
+    assert threads == "1"
+
+
+def test_public_names_are_their_home_modules_objects():
+    import importlib
+
+    import lindsim
+
+    for name in lindsim.__all__:
+        home = importlib.import_module(f"lindsim.{lindsim._EXPORTS[name]}")
+        assert getattr(lindsim, name) is getattr(home, name), name
+    assert set(lindsim.__all__) <= set(dir(lindsim))
+    star = {}
+    exec("from lindsim import *", star)
+    assert all(star[name] is getattr(lindsim, name) for name in lindsim.__all__)
