@@ -108,10 +108,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    from .harness import fit_order, load_experiment, run_sweep
+    from .harness import fit_order, load_experiment, run_sweep, write_sweep
 
     spec = load_experiment(args.config)
     records = run_sweep(spec)
+    write_sweep(spec, records)
     failures = [r for r in records if r.status != "ok"]
     ok_records = [r for r in records if r.status == "ok"]
     for r in records:

@@ -105,11 +105,11 @@ def _as_state(rho, dim, name) -> np.ndarray:
 def _fork(method: Method, gen: GkslGenerator, dt: float, n: int, rho0, rho_phi,
           name: str) -> DensityMatrix:
     """n blocks of prepare, route, branch, unroute, trace out.  The control is
-    prepared in the normalised weights of ``method``'s sampler support, and
-    control value k - 1 routes the system to slot k, where support step k - 1 acts."""
+    prepared in the normalised weights of ``method``'s support, and control
+    value k - 1 routes the system to slot k, where support step k - 1 acts."""
     if dt <= 0:
         raise ValueError("step length must be positive")
-    weights, steps = METHODS[method].sampler.support(gen)
+    weights, steps = METHODS[method].support(gen)
     layout = ForkLayout(control_dim=len(steps), system_dim=gen.dim, n_ancillas=len(steps) - 1)
     route = [_cswap_perm(layout, k - 1, 1, k) for k in range(2, len(steps) + 1)]
     prep = np.diag(np.divide(weights, np.sum(weights))).astype(complex)

@@ -87,14 +87,12 @@ def s1_dir(gen: GkslGenerator, dt: float, direction: Direction) -> np.ndarray:
 
 def s2_det(gen: GkslGenerator, dt: float) -> np.ndarray:
     """Symmetric second-order formula: half-step sweep up, half-step sweep down."""
-    if dt <= 0:
-        raise ValueError("step length must be positive")
-    return s1_dir(gen, dt / 2, Direction.REVERSED) @ s1_dir(gen, dt / 2, Direction.FORWARD)
+    return s2_sigma(gen, dt, range(1, gen.m_total + 1))
 
 
 def s1_ran_exact(gen: GkslGenerator, dt: float) -> np.ndarray:
     """Equal mixture of the forward and reversed first-order formulas."""
-    return _mixture(Method.S1_RAN, gen, dt)
+    return _mixture(METHODS[Method.S1_RAN].support, gen, dt)
 
 
 def s2_sigma(gen: GkslGenerator, dt: float, sigma) -> np.ndarray:
@@ -115,7 +113,7 @@ def s2_sigma(gen: GkslGenerator, dt: float, sigma) -> np.ndarray:
 
 def s2_ran_exact(gen: GkslGenerator, dt: float) -> np.ndarray:
     """Uniform mixture of the permuted second-order formulas over all M! orders."""
-    return _mixture(Method.S2_RAN, gen, dt)
+    return _mixture(METHODS[Method.S2_RAN].support, gen, dt)
 
 
 def qdrift_probs(gen: GkslGenerator) -> np.ndarray:
@@ -129,14 +127,14 @@ def qdrift_probs(gen: GkslGenerator) -> np.ndarray:
 
 def qdrift_exact(gen: GkslGenerator, omega: float) -> np.ndarray:
     """Rate-weighted mixture of single-term rate-free channels."""
-    return _mixture(Method.QDRIFT, gen, omega)
+    return _mixture(METHODS[Method.QDRIFT].support, gen, omega)
 
 
-def _mixture(method: Method, gen: GkslGenerator, dt: float) -> np.ndarray:
-    """Sum of w * step.channel(gen, dt) / sum of w over ``method``'s sampler support."""
+def _mixture(support: Callable, gen: GkslGenerator, dt: float) -> np.ndarray:
+    """Sum of w * step.channel(gen, dt) / sum of w over ``support(gen)``."""
     if dt <= 0:
         raise ValueError("step length must be positive")
-    weights, steps = METHODS[method].sampler.support(gen)
+    weights, steps = support(gen)
     return sum(w * step.channel(gen, dt) for w, step in zip(weights, steps)) / float(np.sum(weights))
 
 
@@ -172,13 +170,10 @@ class TermExp:
 
 @dataclass(frozen=True)
 class Sampler:
-    """The convex mixture a randomised method realises, and how it draws from it:
-    ``support(gen)`` is ``(weights, steps)``, every schedule step the method can
-    take with its relative weight, which the exact channel and the fork circuit
-    read.  A draw takes ``width(m)`` uniforms per step, ``codes(u, gen)`` maps
-    them to integer step codes and ``step(code, m)`` is a code's step."""
+    """How a randomised method draws schedule steps from its record's support:
+    a draw takes ``width(m)`` uniforms per step, ``codes(u, gen)`` maps them to
+    integer step codes and ``step(code, m)`` is a code's step."""
 
-    support: Callable
     width: Callable
     codes: Callable
     step: Callable
@@ -190,19 +185,20 @@ class MethodRecord:
 
     ``bound(stats, t, n, conservative)`` is the large-N error bound, of order
     ``order`` in 1/n, and ``growth(stats, t, n)`` the exponent that
-    ``with_exp_factor`` restores.  ``channel(gen, dt)`` is the exact one-step
-    channel at step length ``step_length(gen, t, n)``, for a randomised method
-    the mixture over its ``sampler``'s support.  Gate counts are per step and
-    functions of M; ``gates_qf`` is None where forking is undefined.  The
-    channel functions are looked up by name at call time, so a re-bound module
-    attribute (a tracer, a test double) is what runs.
+    ``with_exp_factor`` restores.  ``support(gen)`` is ``(weights, steps)``:
+    every schedule step the method can take, with its relative weight (one
+    step for a deterministic method).  The exact one-step channel at step
+    length ``step_length(gen, t, n)`` is its weighted mean, and the fork
+    circuit prepares its control in those weights.  Gate counts are per step
+    and functions of M; ``gates_qf`` is None where forking is undefined.
+    ``sampler`` draws steps from the support of a randomised method.
     """
 
     label: str
     order: int
     bound: Callable
     growth: Callable
-    channel: Callable
+    support: Callable
     step_length: Callable
     gates_cs: Callable
     gates_qf: Callable | None
@@ -212,7 +208,7 @@ class MethodRecord:
 
     def step_channel(self, gen: GkslGenerator, t: float, n: int) -> np.ndarray:
         """Exact one-step channel of an n-step schedule over time t."""
-        return self.channel(gen, self.step_length(gen, t, n))
+        return _mixture(self.support, gen, self.step_length(gen, t, n))
 
 
 def _sweep_growth(stats: GeneratorStats, t: float, n: int) -> float:
@@ -250,27 +246,26 @@ METHODS = {
         label="First-order deterministic", order=1,
         bound=lambda s, t, n, c: (t * s.max_scaled_norm * s.term_count) ** 2 / n,
         growth=_sweep_growth,
-        channel=lambda gen, dt: s1_dir(gen, dt, Direction.FORWARD),
+        support=lambda gen: ((1.0,), [S1Block(Direction.FORWARD)]),
         step_length=lambda gen, t, n: t / n,
         gates_cs=lambda m: m, gates_qf=None,
         complexity_cs="O((tΛ)²M³/ε)", complexity_qf=None),
     Method.S2_DET: MethodRecord(
         label="Second-order deterministic", order=2,
         bound=_second_order_bound, growth=_sweep_growth,
-        channel=lambda gen, dt: s2_det(gen, dt),
+        support=lambda gen: ((1.0,), [S2Block(tuple(range(1, gen.m_total + 1)))]),
         step_length=lambda gen, t, n: t / n,
         gates_cs=lambda m: 2 * m, gates_qf=None,
         complexity_cs="O((tΛ)^(3/2)M^(5/2)/√(3ε))", complexity_qf=None),
     Method.S1_RAN: MethodRecord(
         label="First-order randomised", order=2,
         bound=_second_order_bound, growth=_sweep_growth,
-        channel=lambda gen, dt: s1_ran_exact(gen, dt),
+        support=lambda gen: ((1.0, 1.0), [S1Block(d) for d in Direction]),
         step_length=lambda gen, t, n: t / n,
         gates_cs=lambda m: m, gates_qf=lambda m: 2 * m + 2,
         complexity_cs="O((tΛ)^(3/2)M^(5/2)/√(3ε))",
         complexity_qf="O((tΛ)^(3/2)M^(5/2)/√(3ε))",
         sampler=Sampler(
-            support=lambda gen: ((1.0, 1.0), [S1Block(d) for d in Direction]),
             width=lambda m: 1,  # code 0: forward sweep, 1: reversed
             codes=lambda u, gen: (u[..., 0] >= 0.5).astype(np.int64),
             step=lambda code, m: S1Block(Direction.REVERSED if code else Direction.FORWARD))),
@@ -279,23 +274,22 @@ METHODS = {
         bound=lambda s, t, n, c: (
             ((2.0 if c else 1.0) * s.max_scaled_norm * t) ** 3 * s.term_count**2 / n**2),
         growth=_sweep_growth,
-        channel=lambda gen, dt: s2_ran_exact(gen, dt),
+        support=_permutation_support,
         step_length=lambda gen, t, n: t / n,
         gates_cs=lambda m: 2 * m, gates_qf=None,
         complexity_cs="O((tΛ)^(3/2)M²/√ε)", complexity_qf=None,
         sampler=Sampler(
-            support=_permutation_support, width=lambda m: m, codes=_permutation_codes,
+            width=lambda m: m, codes=_permutation_codes,
             step=lambda code, m: S2Block(tuple(1 + code // m**j % m for j in range(m - 1, -1, -1))))),
     Method.QDRIFT: MethodRecord(
         label="QDRIFT", order=1,
         bound=lambda s, t, n, c: (t * s.total_rate * s.max_bare_norm) ** 2 / n,
         growth=lambda s, t, n: t * s.total_rate * s.max_bare_norm / n,
-        channel=lambda gen, omega: qdrift_exact(gen, omega),
+        support=lambda gen: (gen.rates, [TermExp(k + 1, with_rate=False) for k in range(gen.m_total)]),
         step_length=lambda gen, t, n: t * float(np.sum(gen.rates)) / n,
         gates_cs=lambda m: 1, gates_qf=lambda m: 3 * m - 2,
         complexity_cs="O((tΓΩ)²/ε)", complexity_qf="O((tΓΩ)²M/ε)",
         sampler=Sampler(
-            support=lambda gen: (gen.rates, [TermExp(k + 1, with_rate=False) for k in range(gen.m_total)]),
             width=lambda m: 1, codes=_term_codes,
             step=lambda code, m: TermExp(k=code + 1, with_rate=False))),
 }
@@ -330,7 +324,8 @@ def step_count(method: Method, stats: GeneratorStats, t: float, epsilon: float,
         raise ValueError("target precision must be positive")
 
     bound = functools.partial(error_bound, method, stats, t, conservative=conservative)
-    n = max(1, math.ceil((bound(1) / epsilon) ** (1 / METHODS[method].order)))
+    # in Python floats an overflow is inf, and its ceiling raises OverflowError
+    n = max(1, math.ceil((float(bound(1)) / epsilon) ** (1 / METHODS[method].order)))
     if n > 1 and bound(n - 1) <= epsilon:
         n -= 1
     elif bound(n) > epsilon:
@@ -344,13 +339,18 @@ def error_bound(method: Method, stats: GeneratorStats, t: float, n: int,
 
     The default is the large-N simplified form; ``with_exp_factor`` restores
     the exp(t * rate_scale / n) factor dropped in that simplification, which
-    matters for honest reporting at small n.
+    matters for honest reporting at small n.  A bound beyond the float range
+    raises ``OverflowError``.
     """
     if n < 1:
         raise ValueError("step count must be a positive integer")
     record = METHODS[method]
-    bound = record.bound(stats, t, n, conservative)
-    return bound * math.exp(record.growth(stats, t, n)) if with_exp_factor else bound
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = record.bound(stats, t, n, conservative)
+        bound = bound * math.exp(record.growth(stats, t, n)) if with_exp_factor else bound
+    if not math.isfinite(bound):
+        raise OverflowError(f"{method.value} error bound at N={n} is not finite")
+    return bound
 
 
 # ---------------------------------------------------------------------------

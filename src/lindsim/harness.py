@@ -37,6 +37,7 @@ __all__ = [
     "sweep_point_channel",
     "table1_report",
     "trajectory_batches",
+    "write_sweep",
 ]
 
 CSV_COLUMNS = [
@@ -79,6 +80,8 @@ class ExperimentSpec:
         decreasing = all(a > b for a, b in zip(grid, grid[1:]))
         if not (increasing or decreasing):
             raise ConfigError("grid values must be strictly monotone")
+        if min(self.epsilon_grid, default=1.0) < np.finfo(float).eps:
+            raise ConfigError(f"epsilon_grid values below machine epsilon are out of reach: {min(grid):.3e}")
         if self.t <= 0:
             raise ConfigError("t must be positive")
         if self.trajectories < 1:
@@ -231,7 +234,11 @@ def sweep_point_channel(spec: ExperimentSpec, gen: GkslGenerator, method: Method
         batches = trajectory_batches(spec.trajectories)
         sums = [trajectory_sum(method, gen, spec.t, n, spec.seed, b) for b in batches]
         return sum(sums) / spec.trajectories, [t_exact - s / len(b) for s, b in zip(sums, batches)]
-    return np.linalg.matrix_power(METHODS[method].step_channel(gen, spec.t, n), n), None
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.linalg.matrix_power(METHODS[method].step_channel(gen, spec.t, n), n)
+    if not np.isfinite(total).all():
+        raise OverflowError(f"the channel of {n} steps is not finite")
+    return total, None
 
 
 def _error_record(method: Method, n: int, exc: Exception) -> SweepRecord:
@@ -241,8 +248,9 @@ def _error_record(method: Method, n: int, exc: Exception) -> SweepRecord:
                        error=exc)
 
 
-def run_sweep(spec: ExperimentSpec, write_files: bool = True):
-    """Run every method over the grid; returns records and writes the CSV.
+def run_sweep(spec: ExperimentSpec) -> list:
+    """Run every method over the grid and return its records; ``write_sweep``
+    writes them out.
 
     The channels of all points come first; then the errors of all points,
     and of every sampled point's batch means, are certified in one batch.  A
@@ -266,17 +274,12 @@ def run_sweep(spec: ExperimentSpec, write_files: bool = True):
             total, batch_errors = sweep_point_channel(spec, gen, method, n, t_exact)
             rho_approx = devectorize(total @ vectorize(rho0.matrix))
             record = SweepRecord(
-                method=method,
-                n=n,
-                epsilon_bound=bound,
-                epsilon_empirical=float("nan"),
+                method=method, n=n, epsilon_bound=bound, epsilon_empirical=float("nan"),
                 trace_dist=trace_distance(rho_t, rho_approx),
                 gates_cs=gate_count(method, stats.term_count, n, Implementation.CS),
                 gates_qf=(gate_count(method, stats.term_count, n, Implementation.QF)
                           if METHODS[method].gates_qf else None),
-                status="ok",
-                wall_time_ms=0,
-            )
+                status="ok", wall_time_ms=0)
             point_maps.append((len(records), [t_exact - total, *(batch_errors or ())],
                                batch_errors is not None))
         except Exception as exc:  # recorded, run continues
@@ -300,12 +303,6 @@ def run_sweep(spec: ExperimentSpec, write_files: bool = True):
                 records[i].stat_err = batch_standard_error([sol.value for sol in sols[1:]])
     for record, sec in zip(records, seconds):
         record.wall_time_ms = int(round(1000 * sec))
-
-    if write_files:
-        os.makedirs(spec.outputs, exist_ok=True)
-        write_sweep_csv(records, os.path.join(spec.outputs, "sweep.csv"),
-                        sampled=spec.sampled)
-        _write_gnuplot_files(records, spec.outputs)
     return records
 
 
@@ -317,21 +314,22 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def write_sweep_csv(records, path, sampled: bool = False):
-    columns = CSV_COLUMNS + (["stat_err"] if sampled else [])
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+def write_sweep(spec: ExperimentSpec, records) -> None:
+    """Write a sweep's records into ``spec.outputs``: ``sweep.csv`` (with a
+    ``stat_err`` column in sampled mode), one gnuplot data file
+    ``sweep_<method>.dat`` per method with ok points, and ``sweep.gp``."""
+    outdir = spec.outputs
+    os.makedirs(outdir, exist_ok=True)
+    columns = CSV_COLUMNS + (["stat_err"] if spec.sampled else [])
+    with open(os.path.join(outdir, "sweep.csv"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
         for r in records:
             row = [r.method.value, str(r.n), _fmt(r.epsilon_bound),
                    _fmt(r.epsilon_empirical), _fmt(r.trace_dist), _fmt(r.gates_cs),
                    _fmt(r.gates_qf), r.status.replace(",", ";"), str(r.wall_time_ms)]
-            if sampled:
+            if spec.sampled:
                 row.append(_fmt(r.stat_err))
             fh.write(",".join(row) + "\n")
-    return path
-
-
-def _write_gnuplot_files(records, outdir):
     plotted = []
     for method in Method:
         rows = [r for r in records if r.method == method and r.status == "ok"]

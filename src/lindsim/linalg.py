@@ -139,19 +139,21 @@ def mat_exp(a) -> np.ndarray:
 
     The lowest degree m in 3, 5, 7, 9 whose bound covers the 1-norm is used
     directly; above that, a is scaled by 2^-s into the degree-13 bound and
-    the approximant squared s times.
+    the approximant squared s times.  A 1-norm or a result beyond the float
+    range raises ``OverflowError``.
     """
     a = _as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix exponential needs a square input, got {a.shape}")
-    norm = float(np.abs(a).sum(axis=0).max()) if a.size else 0.0
-    for m, theta in _THETA:
-        if norm <= theta:
-            return _pade(a, m)
-    s = max(0, int(np.ceil(np.log2(norm / _THETA_13))))
-    r = _pade(a / 2.0**s, 13)
-    for _ in range(s):
-        r = r @ r
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = float(np.abs(a).sum(axis=0).max()) if a.size else 0.0
+        m = next((m for m, theta in _THETA if norm <= theta), 13)
+        s = max(0, int(np.ceil(np.log2(norm / _THETA_13)))) if m == 13 else 0
+        r = _pade(a / 2.0**s if s else a, m)
+        for _ in range(s):
+            r = r @ r
+    if not np.isfinite(r).all():
+        raise OverflowError(f"matrix exponential is not finite (input 1-norm {norm:.3e})")
     return r
 
 

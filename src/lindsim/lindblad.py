@@ -116,7 +116,8 @@ def exact_channel(gen: GkslGenerator, t: float) -> np.ndarray:
     """exp(t * Liouvillian); the semigroup is defined for t >= 0 only."""
     if t < 0:
         raise ValueError(f"semigroup time must be nonnegative, got {t}")
-    return mat_exp(t * full_liouvillian(gen))
+    with np.errstate(over="ignore", invalid="ignore"):  # mat_exp refuses a non-finite t L
+        return mat_exp(t * full_liouvillian(gen))
 
 
 def constituent_channel(gen: GkslGenerator, k: int, dt: float, with_rate: bool = True) -> np.ndarray:

@@ -62,14 +62,12 @@ def _hermitian_choi(superop) -> np.ndarray:
 
 
 def diamond_norm_solutions(superops) -> list:
-    """Certified diamond norms of several maps, solved in lockstep batches.
+    """Certified diamond norms of several maps, those of one d in one ``solve_diamond`` call.
 
-    Returns, in order, each map's ``SdpSolution``, or the exception that map
-    alone raised: ``ValueError`` for a map that is not a Hermiticity-preserving
-    superoperator, ``SdpConvergenceError`` for a solve that did not certify.
-    Each map is solved at unit scale; its value and gap are rescaled
-    afterwards, with a gap tolerance that shrinks with the scale so that the
-    rescaled gap stays an order of magnitude inside ``TOL.sdp_gap_tol``.
+    Returns, in order, each map's ``SdpSolution``, at the map's own scale, or
+    the exception that map alone raised: ``ValueError`` for a map that is not
+    a Hermiticity-preserving superoperator, ``SdpConvergenceError`` for a
+    solve that did not certify.
     """
     results = [None] * len(superops)
     by_dim = {}
@@ -78,23 +76,11 @@ def diamond_norm_solutions(superops) -> list:
             j = _hermitian_choi(superop)
         except ValueError as exc:
             results[i] = exc
-            continue
-        by_dim.setdefault(len(j), []).append((i, j, max(1.0, float(np.linalg.norm(j)))))
+        else:
+            by_dim.setdefault(len(j), []).append((i, j))
     for items in by_dim.values():
-        index, chois, scales = zip(*items)
-        scales = np.array(scales)
-        gap_tols = np.minimum(1e-9, TOL.sdp_gap_tol / (10.0 * scales))
-        solved = solve_diamond(np.array(chois) / scales[:, None, None], gap_tols, feas_tol=1e-9,
-                               max_iters=TOL.sdp_max_iters)
-        for i, scale, sol in zip(index, scales, solved):
-            if isinstance(sol, SdpSolution):
-                sol.value *= scale
-                sol.primal_objective *= scale
-                sol.dual_objective *= scale
-                sol.gap *= scale
-                if sol.gap > TOL.sdp_gap_tol:
-                    sol = SdpConvergenceError("diamond-norm solve left an oversized duality gap",
-                                              sol.gap, sol.iterations, sol.primal_residual)
+        index, chois = zip(*items)
+        for i, sol in zip(index, solve_diamond(np.array(chois))):
             results[i] = sol
     return results
 
@@ -200,7 +186,8 @@ def term_stats(gen: GkslGenerator, solutions) -> GeneratorStats:
         if isinstance(sol, Exception):
             raise sol
         bare = max(bare, sol.value)
-        scaled = max(scaled, gen.rate(k) * sol.value)
+        with np.errstate(over="ignore"):  # an infinite scaled norm makes every bound raise
+            scaled = max(scaled, gen.rate(k) * sol.value)
     total = float(np.sum(gen.rates))
     return GeneratorStats(max_scaled_norm=scaled, max_bare_norm=bare, total_rate=total,
                           term_count=gen.m_total)

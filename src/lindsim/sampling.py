@@ -19,13 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .formulas import METHODS, Method, S1Block, S2Block, TermExp, step_count
+from .formulas import METHODS, Method, step_count
 from .lindblad import GkslGenerator
 from .linalg import DensityMatrix, devectorize, vectorize
 from .norms import GeneratorStats, generator_stats
 
 __all__ = [
-    "GateSet", "S1Block", "S2Block", "TermExp", "apply_gateset", "draw_gateset", "gateset_channel",
+    "GateSet", "apply_gateset", "draw_gateset", "gateset_channel",
     "mixture_estimate", "sample_gateset", "trajectory_channels", "trajectory_sum",
 ]
 

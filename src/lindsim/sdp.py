@@ -33,6 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .tolerances import TOL
+
 __all__ = ["SdpConvergenceError", "SdpSolution", "batch_size", "solve_diamond"]
 
 
@@ -58,9 +60,10 @@ class SdpConvergenceError(RuntimeError):
         self.primal_residual = primal_residual
 
 
-@dataclass
+@dataclass(frozen=True)
 class SdpSolution:
-    """A certified solve: ``primal_blocks`` are [P, Q, H, [[mu]]], ``dual_y`` is y."""
+    """A certified solve at the scale of its J: ``primal_blocks`` are [P, Q, H, [[mu]]]
+    with P - Q = J, and ``dual_y`` is y, which does not depend on the scale."""
 
     value: float
     primal_objective: float
@@ -383,16 +386,16 @@ def _join(parts: list) -> dict:
     return {k: v if k == "d" else np.concatenate([p[k] for p in parts]) for k, v in parts[0].items()}
 
 
-def _lockstep(chois: np.ndarray, gap_tols: np.ndarray, feas_tol: float, max_iters: int) -> list:
+def _lockstep(chois: np.ndarray, scales: np.ndarray, feas_tol: float, max_iters: int) -> list:
     batch, n = chois.shape[:2]
     d = int(round(np.sqrt(n)))
-    v = np.concatenate([_coords(chois), np.zeros((batch, n))], axis=1)
+    v = np.concatenate([_coords(chois / scales[:, None, None]), np.zeros((batch, n))], axis=1)
     # infeasible start on the central ray, X = S = I: with |J|_F <= 1 no
     # coordinate of J exceeds 1, so both of its scale factors are 1
     live = _layout(d)[0]
     eye = np.repeat(np.eye(live.shape[-1]) * live[None], batch, axis=0).astype(complex)
     st = {"d": d, "x": eye, "s": eye.copy(), "y": np.zeros_like(v), "v": v,
-          "gap_tol": np.asarray(gap_tols, dtype=float), "index": np.arange(batch),
+          "gap_tol": np.minimum(1e-9, TOL.sdp_gap_tol / (10.0 * scales)), "index": np.arange(batch),
           "best_rp": np.full(batch, np.inf), "stalled": np.zeros(batch, dtype=int)}
     results = [None] * batch
 
@@ -408,11 +411,13 @@ def _lockstep(chois: np.ndarray, gap_tols: np.ndarray, feas_tol: float, max_iter
                                                  float(st["rp_norm"][i]))
 
     def solution(st, i):
-        x = st["x"][i]
+        x, scale = st["x"][i], scales[st["index"][i]]
         return SdpSolution(
-            value=0.5 * float(st["pobj"][i] + st["dobj"][i]), primal_objective=float(st["pobj"][i]),
-            dual_objective=float(st["dobj"][i]), gap=float(st["gap"][i]), iterations=iteration - 1,
-            primal_blocks=[x[0, :n, :n], x[1, :n, :n], x[2, :d, :d], x[2, d:d + 1, d:d + 1]],
+            value=0.5 * float(st["pobj"][i] + st["dobj"][i]) * scale,
+            primal_objective=float(st["pobj"][i]) * scale, dual_objective=float(st["dobj"][i]) * scale,
+            gap=float(st["gap"][i]) * scale, iterations=iteration - 1,
+            primal_blocks=[scale * b for b in (x[0, :n, :n], x[1, :n, :n], x[2, :d, :d],
+                                                x[2, d:d + 1, d:d + 1])],
             dual_y=st["y"][i], primal_residual=float(st["rp_norm"][i]),
             dual_residual=float(st["rd_norm"][i]))
 
@@ -452,16 +457,19 @@ def _lockstep(chois: np.ndarray, gap_tols: np.ndarray, feas_tol: float, max_iter
     return results
 
 
-def solve_diamond(chois, gap_tols, *, feas_tol: float = 1e-9, max_iters: int = 500) -> list:
-    """Solve the diamond-norm program for a stack of Choi matrices of one d.
+def solve_diamond(chois, *, feas_tol: float = 1e-9, max_iters: int = TOL.sdp_max_iters) -> list:
+    """Solve the diamond-norm program for a stack of Hermitian Choi matrices of one d.
 
-    ``chois`` has shape (B, d^2, d^2), each Hermitian with Frobenius norm at
-    most 1; ``gap_tols`` is each problem's duality-gap tolerance.  The
-    problems run in lockstep batches of ``batch_size(d)``.  Returns, in
-    order, each problem's ``SdpSolution`` or ``SdpConvergenceError``.
+    ``chois`` has shape (B, d^2, d^2); the problems run in lockstep batches of
+    ``batch_size(d)``.  The program is homogeneous in J, so each is solved for
+    J / s, s = max(1, ||J||_F), to a duality gap of min(1e-9, ``TOL.sdp_gap_tol``
+    / (10 s)), and its certificate is multiplied back by s: the accepted gap
+    at J's scale is at most a tenth of ``TOL.sdp_gap_tol``.  Returns, in order,
+    each problem's ``SdpSolution`` or ``SdpConvergenceError``.
     """
     chois = np.asarray(chois, dtype=complex)
-    gap_tols = np.broadcast_to(np.asarray(gap_tols, dtype=float), chois.shape[:1])
     size = batch_size(int(round(np.sqrt(chois.shape[-1]))))
-    return [sol for lo in range(0, len(chois), size)
-            for sol in _lockstep(chois[lo:lo + size], gap_tols[lo:lo + size], feas_tol, max_iters)]
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite iterate fails its problem
+        scales = np.array([max(1.0, float(np.linalg.norm(j))) for j in chois])
+        return [sol for lo in range(0, len(chois), size)
+                for sol in _lockstep(chois[lo:lo + size], scales[lo:lo + size], feas_tol, max_iters)]

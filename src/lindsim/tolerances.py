@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+__all__ = ["TOL", "Tolerances"]
+
 
 @dataclass(frozen=True)
 class Tolerances:

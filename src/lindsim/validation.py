@@ -212,7 +212,7 @@ def _checks_bounds(seed: int):
     for name, model in (("amp_damp", "amp_damp"), ("qubit3", "qubit3"),
                         ("random", "random d=2 m=3 seed=7")):
         spec = ExperimentSpec(model=model, methods=tuple(Method), t=t, n_grid=grid, seed=seed)
-        records = run_sweep(spec, write_files=False)
+        records = run_sweep(spec)
         violations += [f"{name}/{r.method.value}/N={r.n}" for r in records
                        if r.status == "ok" and r.epsilon_empirical > r.epsilon_bound]
     # orders are fitted on the last, noncommuting model

@@ -19,7 +19,7 @@ at a time with the package's unit-scale rescaling and gap tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -310,7 +310,8 @@ def diamond_hp_problem(j: np.ndarray, d: int) -> SdpProblem:
 
 
 def reference_diamond_norm(superop: np.ndarray) -> SdpSolution:
-    """The diamond norm by the HKM solver, rescaled and gap-checked as ``lindsim.norms`` does."""
+    """The diamond norm by the HKM solver, solved at unit scale as ``lindsim.sdp`` does; its
+    value, objectives and gap are rescaled to the map's scale and the gap is checked."""
     s = np.asarray(superop, dtype=complex)
     d = int(round(np.sqrt(s.shape[0])))
     j = choi(s, d)
@@ -318,10 +319,8 @@ def reference_diamond_norm(superop: np.ndarray) -> SdpSolution:
     gap_tol = min(1e-9, TOL.sdp_gap_tol / (10.0 * scale))
     sol = solve_sdp(diamond_hp_problem(j / scale, d), gap_tol=gap_tol, feas_tol=1e-9,
                     max_iters=TOL.sdp_max_iters)
-    sol.value *= scale
-    sol.primal_objective *= scale
-    sol.dual_objective *= scale
-    sol.gap *= scale
+    sol = replace(sol, value=sol.value * scale, primal_objective=sol.primal_objective * scale,
+                  dual_objective=sol.dual_objective * scale, gap=sol.gap * scale)
     if sol.gap > TOL.sdp_gap_tol:
         raise SdpConvergenceError("diamond-norm solve left an oversized duality gap", sol.gap,
                                   sol.iterations, sol.primal_residual)

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -80,13 +81,18 @@ NUMBERS = st.one_of(
 
 
 def run_cli(argv):
-    """Exit code and stderr of one in-process CLI run; argparse's rejections are SystemExit(2)."""
+    """Exit code and stderr of one in-process CLI run; argparse's rejections are SystemExit(2).
+    A numpy ``RuntimeWarning`` would reach the user's stderr, so none may be raised."""
     err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
+    runtime = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not runtime, (argv, runtime)
     return code, err.getvalue()
 
 
@@ -140,9 +146,9 @@ MODELS = ("amp_damp gamma={}", "random d=2 m=2 seed={}", "random d=1000000000 m=
        model=st.sampled_from(MODELS),
        grid=st.sampled_from([("n_grid", "4"), ("epsilon_grid", "0.1")]),
        odd=st.dictionaries(st.sampled_from(list(SWEEP_CONFIG)), NUMBERS, min_size=1, max_size=2))
-# a point whose exact step overflows to inf is bad input, not a solver failure
+# an exact channel that overflows to inf is bad input, not a solver failure
 @example("sweep", MODELS[0], ("n_grid", "4"), {"model": "0.0", "t": "2.7958224665139688e+20"})
-# a point the solver cannot certify exits 1, saying so
+# an epsilon below machine precision is bad input, not an astronomical N
 @example("sweep", MODELS[0], ("epsilon_grid", "0.1"),
          {"model": "17297280.0", "grid": "2.1012563011198427e-207"})
 def test_sweep_and_simulate_exit_0_1_or_2_on_any_numbers(command, model, grid, odd):
@@ -161,6 +167,22 @@ def test_sweep_and_simulate_exit_0_1_or_2_on_any_numbers(command, model, grid, o
     assert code in (0, 1, 2), (values, code, err)
     assert "Traceback" not in err
     assert code != 1 or "solver failed" in err, (values, err)
+
+
+@pytest.mark.parametrize("command", ["sweep", "simulate"])
+@pytest.mark.parametrize("model, t, grid", [
+    # exp(t L) overflows in the squaring of the matrix exponential
+    ("amp_damp gamma=0.0", "2.7958224665139688e+20", "n_grid = 4"),
+    # N would be about 2.3e216
+    ("amp_damp gamma=17297280.0", "1.0", "epsilon_grid = 2.1012563011198427e-207"),
+])
+def test_out_of_range_input_is_bad_input(command, model, t, grid, tmp_path):
+    path = tmp_path / "exp.ini"
+    path.write_text(f"[experiment]\nmodel = {model}\nmethods = s1_det\nt = {t}\n{grid}\n"
+                    f"seed = 1\noutputs = {tmp_path / 'out'}\n")
+    code, err = run_cli([command, str(path)])
+    assert code == 2 and err.startswith("error:") and err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_with_epsilon_grid(tmp_path, capsys):
@@ -207,7 +229,7 @@ def test_missing_config_is_bad_input(capsys):
 
 
 def test_solver_failure_exits_1(config_path, monkeypatch, capsys):
-    def failing_solve(chois, gap_tols, **kwargs):
+    def failing_solve(chois, **kwargs):
         return [SdpConvergenceError("interior-point step collapsed", 3e-4) for _ in chois]
 
     monkeypatch.setattr(norms, "solve_diamond", failing_solve)
@@ -222,10 +244,10 @@ def test_sweep_with_an_unsolved_point_exits_1(config_path, monkeypatch, capsys):
     real = norms.solve_diamond
     calls = []
 
-    def failing_points(chois, gap_tols, **kwargs):
+    def failing_points(chois, **kwargs):
         calls.append(len(chois))
         if len(calls) == 1:
-            return real(chois, gap_tols, **kwargs)
+            return real(chois, **kwargs)
         return [SdpConvergenceError("interior-point step collapsed", 3e-4) for _ in chois]
 
     monkeypatch.setattr(norms, "solve_diamond", failing_points)
@@ -238,7 +260,7 @@ def test_sweep_with_an_unsolved_point_exits_1(config_path, monkeypatch, capsys):
 @pytest.mark.parametrize("suite, named", [("forking", "term 1 of a d=2 generator"),
                                            ("identities", "step collapsed")])
 def test_validate_solver_failure_exits_1(suite, named, monkeypatch, capsys):
-    def failing_solve(chois, gap_tols, **kwargs):
+    def failing_solve(chois, **kwargs):
         return [SdpConvergenceError("interior-point step collapsed", 3e-4) for _ in chois]
 
     monkeypatch.setattr(norms, "solve_diamond", failing_solve)

@@ -363,3 +363,25 @@ def test_s2_ran_exact_reuses_term_exponentials(monkeypatch):
     got = s2_ran_exact(gen, dt)
     assert len(calls) <= 2 * gen.m_total
     assert np.array_equal(got, expected)
+
+
+STEP_MODELS = [("amp_damp", {}), ("qubit3", {}), ("random", dict(d=3, m=4, seed=11))]
+
+
+@pytest.mark.parametrize("model, params", STEP_MODELS)
+def test_step_channel_is_the_methods_formula(model, params):
+    # a record's step is the weighted mean over its support; for the
+    # deterministic methods that is one sweep or one symmetric block, bit for bit
+    gen = builtin_model(model, params)
+    t, n = 1.0, 4
+    dt = t / n
+    formulas = {
+        Method.S1_DET: s1_dir(gen, dt, Direction.FORWARD),
+        Method.S2_DET: s1_dir(gen, dt / 2, Direction.REVERSED) @ s1_dir(gen, dt / 2, Direction.FORWARD),
+        Method.S1_RAN: s1_ran_exact(gen, dt),
+        Method.S2_RAN: s2_ran_exact(gen, dt),
+        Method.QDRIFT: qdrift_exact(gen, t * float(np.sum(gen.rates)) / n),
+    }
+    for method, expected in formulas.items():
+        assert np.array_equal(METHODS[method].step_channel(gen, t, n), expected), method
+    assert np.array_equal(s2_det(gen, dt), formulas[Method.S2_DET])

@@ -16,7 +16,7 @@ from lindsim.harness import (
     sweep_point_channel,
     table1_report,
     trajectory_batches,
-    write_sweep_csv,
+    write_sweep,
 )
 from lindsim.validation import validate_all
 
@@ -86,7 +86,7 @@ def test_model_from_generator_file(tmp_path):
 
 
 def test_run_sweep_records_and_bounds(spec):
-    records = run_sweep(spec, write_files=False)
+    records = run_sweep(spec)
     assert len(records) == 9
     assert all(r.status == "ok" for r in records)
     for r in records:
@@ -105,7 +105,7 @@ def test_run_sweep_error_halving_on_noncommuting_model():
     spec = ExperimentSpec(model="random d=2 m=3 seed=7",
                           methods=(Method.S1_DET, Method.S2_DET), t=1.0,
                           n_grid=(4, 8, 16), seed=42)
-    records = run_sweep(spec, write_files=False)
+    records = run_sweep(spec)
     by = {(r.method, r.n): r.epsilon_empirical for r in records}
     for n in (4, 8):
         assert 2.0 * 0.8 <= by[(Method.S1_DET, n)] / by[(Method.S1_DET, 2 * n)] <= 2.0 * 1.2
@@ -116,7 +116,7 @@ def test_damped_qubit_product_formulas_are_exact(spec):
     # amp_damp's commutator term and dissipator commute as superoperators,
     # so the product formulas reproduce the exact channel to solver noise
     # (the rate-weighted mixture is not a product and keeps its 1/N error)
-    records = run_sweep(spec, write_files=False)
+    records = run_sweep(spec)
     for r in records:
         if r.method in (Method.S1_DET, Method.S2_DET):
             assert r.epsilon_empirical < 1e-8
@@ -129,7 +129,8 @@ def test_run_sweep_writes_deterministic_csv(tmp_path):
     for name in ("a", "b"):
         path = tmp_path / f"{name}.ini"
         path.write_text(CONFIG.format(out=tmp_path / name))
-        run_sweep(load_experiment(path))
+        spec = load_experiment(path)
+        write_sweep(spec, run_sweep(spec))
         with open(tmp_path / name / "sweep.csv", encoding="utf-8") as fh:
             outs.append(fh.read())
         assert (tmp_path / name / "sweep_s1_det.dat").exists()
@@ -149,7 +150,7 @@ def test_run_sweep_epsilon_grid(tmp_path):
     spec = ExperimentSpec(model="amp_damp", methods=(Method.S1_DET,), t=1.0,
                           epsilon_grid=(0.5, 0.25), seed=0,
                           outputs=str(tmp_path / "out"))
-    records = run_sweep(spec, write_files=False)
+    records = run_sweep(spec)
     assert [r.n for r in records] == sorted(r.n for r in records)
     for r in records:
         assert r.epsilon_empirical <= r.epsilon_bound
@@ -160,6 +161,7 @@ def test_run_sweep_sampled_mode_has_stat_err(tmp_path):
                           n_grid=(4, 8), seed=1, trajectories=64,
                           sampled=True, outputs=str(tmp_path / "out"))
     records = run_sweep(spec)
+    write_sweep(spec, records)
     assert all(r.stat_err is not None and r.stat_err >= 0 for r in records)
     with open(tmp_path / "out" / "sweep.csv", encoding="utf-8") as fh:
         header = fh.readline().strip()
@@ -211,7 +213,7 @@ def test_sampled_sweep_multiplies_out_one_chunk_at_a_time(monkeypatch):
     real, rows = sampling._products, []
     monkeypatch.setattr(sampling, "_products",
                         lambda steps, index, *a: rows.append(len(index)) or real(steps, index, *a))
-    assert all(r.status == "ok" for r in run_sweep(spec, write_files=False))
+    assert all(r.status == "ok" for r in run_sweep(spec))
     assert max(rows) <= 256 and sum(rows) == 2 * 4096
     monkeypatch.undo()
     gen = resolve_model(spec)
@@ -236,7 +238,7 @@ def test_sampled_sweep_certifies_batch_means_with_the_points(monkeypatch):
     batches = []
     monkeypatch.setattr(norms, "solve_diamond",
                         lambda chois, *a, **k: batches.append(len(chois)) or real(chois, *a, **k))
-    records = run_sweep(spec, write_files=False)
+    records = run_sweep(spec)
     assert batches == [3, 4 * 9]
     gen = resolve_model(spec)
     t_exact = exact_channel(gen, 1.0)
@@ -258,7 +260,7 @@ def test_failed_batch_mean_solve_fails_only_its_point(monkeypatch):
 
     spec = ExperimentSpec(model="random d=2 m=3 seed=7", methods=(Method.QDRIFT,), t=1.0,
                           n_grid=(4, 8, 16), seed=2, trajectories=16, sampled=True)
-    clean = run_sweep(spec, write_files=False)
+    clean = run_sweep(spec)
     real = harness.diamond_norm_solutions
 
     def failing(maps):
@@ -268,7 +270,7 @@ def test_failed_batch_mean_solve_fails_only_its_point(monkeypatch):
         return solved
 
     monkeypatch.setattr(harness, "diamond_norm_solutions", failing)
-    records = run_sweep(spec, write_files=False)
+    records = run_sweep(spec)
     assert records[1].status.startswith("error: qdrift N=8: forced failure")
     assert np.isnan(records[1].epsilon_empirical) and records[1].stat_err is None
     for i in (0, 2):
@@ -301,7 +303,7 @@ def test_run_sweep_records_failures_and_continues(tmp_path):
     spec = ExperimentSpec(model="random d=2 m=8 seed=1",
                           methods=(Method.S2_RAN, Method.S1_DET), t=1.0,
                           n_grid=(4,), seed=0, outputs=str(tmp_path / "out"))
-    records = run_sweep(spec, write_files=False)
+    records = run_sweep(spec)
     by_method = {r.method: r for r in records}
     assert by_method[Method.S2_RAN].status.startswith("error: s2_ran N=4: ")
     assert by_method[Method.S1_DET].status == "ok"
@@ -314,19 +316,19 @@ def test_failed_solve_is_recorded_and_its_batch_certifies(monkeypatch):
 
     spec = ExperimentSpec(model="random d=2 m=3 seed=7", methods=(Method.S1_DET, Method.S2_DET),
                           t=1.0, n_grid=(4, 8, 16), seed=0)
-    clean = run_sweep(spec, write_files=False)
+    clean = run_sweep(spec)
     real = norms.solve_diamond
     batches = []
 
-    def poisoning(chois, gap_tols, **kwargs):
+    def poisoning(chois, **kwargs):
         chois = np.array(chois)
         batches.append(len(chois))
         if len(chois) == 6:  # the sweep's batch: poison s1_det at N = 8
             chois[1, 0, 0] = np.nan
-        return real(chois, gap_tols, **kwargs)
+        return real(chois, **kwargs)
 
     monkeypatch.setattr(norms, "solve_diamond", poisoning)
-    records = run_sweep(spec, write_files=False)
+    records = run_sweep(spec)
     assert batches == [3, 6]  # generator_stats, then every point at once
     assert records[1].status.startswith("error: s1_det N=8: linear algebra failure")
     assert np.isnan(records[1].epsilon_empirical)

@@ -529,3 +529,20 @@ def test_validate_certifies_its_plan_in_one_call(monkeypatch):
     calls.clear()
     assert validate_all(seed=0, suite="forking").passed
     assert calls == [2 + 3 + 3]  # the term maps of amp_damp, qubit3 and random d=2 m=3
+
+
+@pytest.mark.parametrize("frobenius", [0.5, 65.0])
+def test_certificate_is_at_the_maps_scale(frobenius):
+    # the primal blocks certify the map itself, not its unit-scaled copy:
+    # P - Q = J, the mu block is the primal objective, and the gap is |primal - dual|
+    gen = builtin_model("random", dict(d=2, m=3, seed=7))
+    step = exact_channel(gen, 1.0) - np.eye(4)
+    superop = frobenius / np.linalg.norm(choi(step, 2)) * step
+    j = choi(superop, 2)
+    sol = diamond_norm_solution(superop)
+    p, q, h, mu = sol.primal_blocks
+    assert np.max(np.abs(p - q - j)) <= 1e-6
+    assert mu[0, 0] == sol.primal_objective
+    assert abs(sol.primal_objective - sol.dual_objective) == pytest.approx(sol.gap, rel=1e-9)
+    assert sol.value == pytest.approx(sol.primal_objective, abs=TOL.sdp_gap_tol)
+    assert np.min(np.linalg.eigvalsh(h)) >= -1e-6 * frobenius

@@ -4,16 +4,24 @@ import signal
 import numpy as np
 import pytest
 
-from lindsim.formulas import METHODS, Direction, Method, qdrift_exact, s1_dir, s2_ran_exact, s2_sigma
+from lindsim.formulas import (
+    METHODS,
+    Direction,
+    Method,
+    S1Block,
+    S2Block,
+    TermExp,
+    qdrift_exact,
+    s1_dir,
+    s2_ran_exact,
+    s2_sigma,
+)
 from lindsim.lindblad import GkslGenerator, constituent_channel, is_cptp
 from lindsim.linalg import DensityMatrix, devectorize, vectorize
 from lindsim.models import builtin_model
 from lindsim.norms import diamond_norm
 from lindsim.sampling import (
     GateSet,
-    S1Block,
-    S2Block,
-    TermExp,
     apply_gateset,
     draw_gateset,
     gateset_channel,
@@ -78,7 +86,7 @@ SUPPORT_CASES.append((Method.QDRIFT, "amp_damp", dict(gamma=3.0)))
 def test_draws_follow_the_support(method, model, params):
     # every drawn step is in the support, at its normalised weight within 5 sigma
     g = builtin_model(model, params)
-    weights, steps = METHODS[method].sampler.support(g)
+    weights, steps = METHODS[method].support(g)
     probs = np.asarray(weights, dtype=float) / np.sum(weights)
     n = 20_000
     _, drawn, index = _draw(method, g, 1.0, n, 11, range(1))

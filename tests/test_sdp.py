@@ -213,10 +213,10 @@ def _batch_maps():
 def test_batch_independence():
     # an item's value does not depend on its batch-mates or its place in the batch
     chois = _unit_chois(_batch_maps())
-    alone = [nt.solve_diamond(j[None], 1e-9)[0].value for j in chois]
-    together = [sol.value for sol in nt.solve_diamond(chois, 1e-9)]
+    alone = [nt.solve_diamond(j[None])[0].value for j in chois]
+    together = [sol.value for sol in nt.solve_diamond(chois)]
     order = [2, 0, 3, 1]
-    reordered = [sol.value for sol in nt.solve_diamond(chois[order], 1e-9)]
+    reordered = [sol.value for sol in nt.solve_diamond(chois[order])]
     assert np.max(np.abs(np.subtract(alone, together))) <= 1e-9
     assert np.max(np.abs(np.subtract(np.array(alone)[order], reordered))) <= 1e-9
 
@@ -232,8 +232,8 @@ def test_lockstep_stall_exit_ends_each_item():
     # zero, and it ends there (item 0, the Hamiltonian term, reaches mu = 0;
     # stepped on from there, its iterates leave the cone and its gap grows)
     chois = _d2_unit_chois()
-    assert all(sol.iterations <= 15 for sol in nt.solve_diamond(chois, 1e-9))
-    results = nt.solve_diamond(chois, 1e-9, feas_tol=1e-20)
+    assert all(sol.iterations <= 15 for sol in nt.solve_diamond(chois))
+    results = nt.solve_diamond(chois, feas_tol=1e-20)
     for err in results:
         assert isinstance(err, SdpConvergenceError) and "stalled" in err.reason
         assert err.iterations <= 40
@@ -255,7 +255,7 @@ def test_stall_counter_restarts_while_the_residual_halves(monkeypatch):
 
     monkeypatch.setattr(nt, "_residuals", scripted)
     monkeypatch.setattr(nt, "_iterate", lambda st: (st, np.ones(len(st["index"]))))
-    halving, flat = nt.solve_diamond(_d2_unit_chois()[:2], 1e-9, feas_tol=2.0**-30)
+    halving, flat = nt.solve_diamond(_d2_unit_chois()[:2], feas_tol=2.0**-30)
     assert isinstance(halving, nt.SdpSolution) and halving.iterations == 30
     assert isinstance(flat, SdpConvergenceError) and "stalled" in flat.reason
     assert flat.iterations == nt._STALL_ITERS
@@ -263,7 +263,7 @@ def test_stall_counter_restarts_while_the_residual_halves(monkeypatch):
 
 def test_lockstep_iteration_cap_reports_each_item():
     chois = _d2_unit_chois()
-    results = nt.solve_diamond(chois, 1e-9, max_iters=2)
+    results = nt.solve_diamond(chois, max_iters=2)
     assert len(results) == len(chois)
     for err in results:
         assert isinstance(err, SdpConvergenceError)
@@ -299,7 +299,7 @@ def test_iterates_stay_inside_their_blocks(monkeypatch):
         return new, alpha
 
     monkeypatch.setattr(nt, "_iterate", checking)
-    assert all(isinstance(sol, nt.SdpSolution) for sol in nt.solve_diamond(_d2_unit_chois(), 1e-9))
+    assert all(isinstance(sol, nt.SdpSolution) for sol in nt.solve_diamond(_d2_unit_chois()))
     assert inside and all(inside)
 
 
@@ -315,7 +315,7 @@ def test_lockstep_batches_follow_the_byte_budget():
 
     import unittest.mock as mock
     with mock.patch.object(nt, "_lockstep", recording):
-        results = nt.solve_diamond(chois, 1e-9)
+        results = nt.solve_diamond(chois)
     assert sizes == [nt.batch_size(3), len(chois) - nt.batch_size(3)]
     assert all(isinstance(sol, nt.SdpSolution) and sol.gap <= 1e-9 for sol in results)
 
@@ -323,9 +323,9 @@ def test_lockstep_batches_follow_the_byte_budget():
 def test_failure_stays_with_its_item():
     # a non-finite problem fails alone; its batch-mates certify as they do alone
     chois = _unit_chois(_batch_maps())
-    alone = [sol.value for sol in nt.solve_diamond(chois, 1e-9)]
+    alone = [sol.value for sol in nt.solve_diamond(chois)]
     chois[1, 0, 0] = np.nan
-    results = nt.solve_diamond(chois, 1e-9)
+    results = nt.solve_diamond(chois)
     assert isinstance(results[1], SdpConvergenceError)
     assert "non-finite" in results[1].reason and results[1].iterations == 0
     for i in (0, 2, 3):
@@ -337,7 +337,7 @@ def test_linear_algebra_failure_isolated_to_its_item(monkeypatch):
     # a LinAlgError inside a batched step re-runs the step item by item; only
     # the item that raises alone gets the error
     chois = _unit_chois(_batch_maps())
-    alone = [sol.value for sol in nt.solve_diamond(chois, 1e-9)]
+    alone = [sol.value for sol in nt.solve_diamond(chois)]
     real = nt._iterate
 
     def breaking(st, *args):
@@ -346,7 +346,7 @@ def test_linear_algebra_failure_isolated_to_its_item(monkeypatch):
         return real(st, *args)
 
     monkeypatch.setattr(nt, "_iterate", breaking)
-    results = nt.solve_diamond(chois, 1e-9)
+    results = nt.solve_diamond(chois)
     assert isinstance(results[2], SdpConvergenceError)
     assert "SVD did not converge" in results[2].reason and results[2].iterations == 0
     for i in (0, 1, 3):
@@ -391,11 +391,11 @@ def test_full_d3_batch_stays_within_its_workspace_budget():
     maps = [full - np.linalg.matrix_power(exact_channel(gen, 1.0 / k), k)
             for k in range(2, 2 + nt.batch_size(3))]
     chois = _unit_chois(maps)
-    nt.solve_diamond(chois[:1], 1e-9)  # per-d plans are built lazily, outside the measurement
+    nt.solve_diamond(chois[:1])  # per-d plans are built lazily, outside the measurement
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        results = nt.solve_diamond(chois, 1e-9)
+        results = nt.solve_diamond(chois)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
