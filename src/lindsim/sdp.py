@@ -23,7 +23,9 @@ per-block operation is thus one numpy call, whatever the block sizes.
 ``solve_diamond`` solves a stack of problems of one d in lockstep, so numpy's
 per-call overhead is paid once per batch.  Each problem keeps its own
 stopping tests and leaves the batch when it converges or fails; a failure
-becomes that problem's ``SdpConvergenceError`` only.
+becomes that problem's ``SdpConvergenceError`` only.  The batches of one call
+are shared out over every CPU the process may use, in forked workers
+(``workers.py``).
 """
 
 from __future__ import annotations
@@ -41,9 +43,10 @@ __all__ = ["SdpConvergenceError", "SdpSolution", "batch_size", "solve_diamond"]
 class SdpConvergenceError(RuntimeError):
     """Solver failed to converge; carries the solver state it stopped in.
 
-    ``reason`` is the bare message, ``gap`` the last duality gap,
-    ``iterations`` the completed iterations and ``primal_residual`` the last
-    scaled primal residual; the last two are None where unknown.
+    ``reason`` is the bare message, ``gap`` the last duality gap at the
+    scale of the problem's J, ``iterations`` the completed iterations and
+    ``primal_residual`` the last scaled primal residual; the last two are
+    None where unknown.
     """
 
     def __init__(self, reason: str, gap: float, iterations: int | None = None,
@@ -58,6 +61,9 @@ class SdpConvergenceError(RuntimeError):
         self.gap = gap
         self.iterations = iterations
         self.primal_residual = primal_residual
+
+    def __reduce__(self):
+        return type(self), (self.reason, self.gap, self.iterations, self.primal_residual)
 
 
 @dataclass(frozen=True)
@@ -76,7 +82,8 @@ class SdpSolution:
     dual_residual: float
 
 
-# Byte budget of one lockstep batch's Schur workspace: the Schur complements,
+# Byte budget of one lockstep batch's Schur workspace (in each worker process,
+# which solves one batch at a time): the Schur complements,
 # their factors and the gathered products that build them, measured at about
 # four real m x m arrays per problem (m = d^4 + d^2).  That makes a batch of
 # every problem at d = 2, 4 at d = 3 and 1 at d >= 4, where a solve is
@@ -390,12 +397,13 @@ def _lockstep(chois: np.ndarray, scales: np.ndarray, feas_tol: float, max_iters:
     batch, n = chois.shape[:2]
     d = int(round(np.sqrt(n)))
     v = np.concatenate([_coords(chois / scales[:, None, None]), np.zeros((batch, n))], axis=1)
-    # infeasible start on the central ray, X = S = I: with |J|_F <= 1 no
+    # infeasible start on the central ray, X = S = I: at |J|_F = 1 no
     # coordinate of J exceeds 1, so both of its scale factors are 1
     live = _layout(d)[0]
     eye = np.repeat(np.eye(live.shape[-1]) * live[None], batch, axis=0).astype(complex)
     st = {"d": d, "x": eye, "s": eye.copy(), "y": np.zeros_like(v), "v": v,
-          "gap_tol": np.minimum(1e-9, TOL.sdp_gap_tol / (10.0 * scales)), "index": np.arange(batch),
+          "gap_tol": np.minimum(1e-9 * np.maximum(1.0, scales), TOL.sdp_gap_tol / 10) / scales,
+          "index": np.arange(batch),
           "best_rp": np.full(batch, np.inf), "stalled": np.zeros(batch, dtype=int)}
     results = [None] * batch
 
@@ -407,8 +415,8 @@ def _lockstep(chois: np.ndarray, scales: np.ndarray, feas_tol: float, max_iters:
         return _take(st, ~leaving)
 
     def failure(reason, iterations):
-        return lambda st, i: SdpConvergenceError(reason, float(st["gap"][i]), iterations,
-                                                 float(st["rp_norm"][i]))
+        return lambda st, i: SdpConvergenceError(reason, float(st["gap"][i]) * scales[st["index"][i]],
+                                                 iterations, float(st["rp_norm"][i]))
 
     def solution(st, i):
         x, scale = st["x"][i], scales[st["index"][i]]
@@ -460,16 +468,31 @@ def _lockstep(chois: np.ndarray, scales: np.ndarray, feas_tol: float, max_iters:
 def solve_diamond(chois, *, feas_tol: float = 1e-9, max_iters: int = TOL.sdp_max_iters) -> list:
     """Solve the diamond-norm program for a stack of Hermitian Choi matrices of one d.
 
-    ``chois`` has shape (B, d^2, d^2); the problems run in lockstep batches of
-    ``batch_size(d)``.  The program is homogeneous in J, so each is solved for
-    J / s, s = max(1, ||J||_F), to a duality gap of min(1e-9, ``TOL.sdp_gap_tol``
-    / (10 s)), and its certificate is multiplied back by s: the accepted gap
-    at J's scale is at most a tenth of ``TOL.sdp_gap_tol``.  Returns, in order,
+    ``chois`` has shape (B, d^2, d^2).  The program is homogeneous in J, so
+    each problem is solved at unit scale, for J / s with s = ||J||_F (s = 1
+    for a zero or non-finite J), to a duality gap of min(1e-9 max(1, s),
+    ``TOL.sdp_gap_tol`` / 10) / s, and its certificate is multiplied back by
+    s: the accepted gap at J's scale is at most a tenth of
+    ``TOL.sdp_gap_tol``, and at most 1e-9 for ||J||_F <= 1.
+
+    The problems run in lockstep batches of ``batch_size(d)``; with more
+    than one batch, ``workers.solve_shared`` shares them out over worker
+    processes.  A problem's result does not depend on its batch-mates, so it
+    is the same to the bit for any number of workers.  Returns, in order,
     each problem's ``SdpSolution`` or ``SdpConvergenceError``.
     """
     chois = np.asarray(chois, dtype=complex)
     size = batch_size(int(round(np.sqrt(chois.shape[-1]))))
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite iterate fails its problem
-        scales = np.array([max(1.0, float(np.linalg.norm(j))) for j in chois])
-        return [sol for lo in range(0, len(chois), size)
-                for sol in _lockstep(chois[lo:lo + size], scales[lo:lo + size], feas_tol, max_iters)]
+        norms = np.array([float(np.linalg.norm(j)) for j in chois])
+        scales = np.where(np.isfinite(norms) & (norms > 0), norms, 1.0)
+
+        def solve(lo, hi):
+            batches = [slice(b, min(b + size, hi)) for b in range(lo, hi, size)]
+            return [sol for sl in batches
+                    for sol in _lockstep(chois[sl], scales[sl], feas_tol, max_iters)]
+
+        if len(chois) <= size:  # one batch: nothing to share out
+            return solve(0, len(chois))
+        from .workers import solve_shared
+        return solve_shared(solve, len(chois), size)

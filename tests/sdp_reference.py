@@ -14,12 +14,13 @@ Mehrotra predictor-corrector step.  It shares no solver code with the structured
 Nesterov-Todd solver in ``lindsim.sdp``, so the tests use it as an oracle:
 ``diamond_hp_problem`` writes Watrous' Hermiticity-preserving program as an
 explicit constraint stack, and ``reference_diamond_norm`` solves it one map
-at a time with the package's unit-scale rescaling and gap tolerance.
+at a time, for J / max(1, ||J||_F), to the package's gap at the map's scale.
+``identical`` compares two outcomes of the package's solver to the bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -310,8 +311,8 @@ def diamond_hp_problem(j: np.ndarray, d: int) -> SdpProblem:
 
 
 def reference_diamond_norm(superop: np.ndarray) -> SdpSolution:
-    """The diamond norm by the HKM solver, solved at unit scale as ``lindsim.sdp`` does; its
-    value, objectives and gap are rescaled to the map's scale and the gap is checked."""
+    """The diamond norm by the HKM solver, solved for J / max(1, ||J||_F); its value,
+    objectives and gap are rescaled to the map's scale and the gap is checked."""
     s = np.asarray(superop, dtype=complex)
     d = int(round(np.sqrt(s.shape[0])))
     j = choi(s, d)
@@ -325,3 +326,13 @@ def reference_diamond_norm(superop: np.ndarray) -> SdpSolution:
         raise SdpConvergenceError("diamond-norm solve left an oversized duality gap", sol.gap,
                                   sol.iterations, sol.primal_residual)
     return sol
+
+
+def identical(a, b) -> bool:
+    """The same outcome to the bit: errors of one type and message, or
+    ``SdpSolution``s whose every field is equal."""
+    if isinstance(a, Exception) or isinstance(b, Exception):
+        return type(a) is type(b) and str(a) == str(b)
+    return all(np.array_equal(getattr(a, f.name), getattr(b, f.name))
+               for f in fields(a) if f.name != "primal_blocks") and all(
+        np.array_equal(x, y) for x, y in zip(a.primal_blocks, b.primal_blocks, strict=True))

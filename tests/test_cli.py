@@ -185,6 +185,31 @@ def test_out_of_range_input_is_bad_input(command, model, t, grid, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_memory_error_in_a_solver_worker_is_bad_input(tmp_path, monkeypatch):
+    # six d = 3 point maps are two lockstep batches; with two CPUs the second
+    # is solved by a forked child, whose MemoryError the sweep reports
+    import os
+
+    from lindsim import sdp
+
+    parent, real = os.getpid(), sdp._lockstep
+
+    def lockstep(*args):
+        if os.getpid() != parent:
+            raise MemoryError("no room for the Schur complement")
+        return real(*args)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(sdp, "_lockstep", lockstep)
+    path = tmp_path / "d3.ini"
+    path.write_text("[experiment]\nmodel = random d=3 m=3 seed=5\nmethods = s1_det s2_det\n"
+                    f"t = 1.0\nn_grid = 4 8 16\nseed = 1\noutputs = {tmp_path / 'out'}\n")
+    code, err = run_cli(["sweep", str(path)])
+    assert code == 2 and err == "error: input too large (no room for the Schur complement)\n"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_sweep_with_epsilon_grid(tmp_path, capsys):
     path = tmp_path / "eps.ini"
     path.write_text(

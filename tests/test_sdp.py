@@ -1,13 +1,18 @@
+import os
+import pickle
+
 import numpy as np
 import pytest
 
 import sdp_reference as sdp
 from lindsim import sdp as nt
+from lindsim import workers
+from lindsim.formulas import s2_det
 from lindsim.lindblad import choi, exact_channel, term_superop
 from lindsim.models import builtin_model
 from lindsim.sdp import SdpConvergenceError
 from lindsim.tolerances import TOL
-from sdp_reference import SdpProblem, solve_sdp
+from sdp_reference import SdpProblem, identical, solve_sdp
 
 
 def _min_eigenvalue_problem(c):
@@ -80,6 +85,25 @@ def test_convergence_error_reports_solver_state():
     assert err.value.primal_residual >= 0.0
     message = str(err.value)
     assert "2 iterations" in message and f"primal residual {err.value.primal_residual:.3e}" in message
+
+
+def test_convergence_error_survives_pickling():
+    for err in (SdpConvergenceError("x", 1.0, 3, 0.1), SdpConvergenceError("y", float("nan"))):
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is SdpConvergenceError and str(back) == str(err)
+        assert (back.reason, back.iterations, back.primal_residual) == \
+            (err.reason, err.iterations, err.primal_residual)
+        assert np.array_equal(back.gap, err.gap, equal_nan=True)
+
+
+def test_convergence_error_gap_is_at_the_maps_scale():
+    # the same unit-scale iterates, stopped by the cap, at two scales of one map
+    gen = builtin_model("random", dict(d=2, m=3, seed=7))
+    j = choi(exact_channel(gen, 1.0) - np.eye(4), 2)
+    small, large = nt.solve_diamond(np.array([j, 1e5 * j]), max_iters=5)
+    assert small.iterations == large.iterations == 5
+    assert large.gap == pytest.approx(1e5 * small.gap, rel=1e-6) and large.gap > 1e-6
+    assert f"duality gap {large.gap:.3e}" in str(large)
 
 
 def _diamond_problem(d, seed, k):
@@ -303,7 +327,8 @@ def test_iterates_stay_inside_their_blocks(monkeypatch):
     assert inside and all(inside)
 
 
-def test_lockstep_batches_follow_the_byte_budget():
+def test_lockstep_batches_follow_the_byte_budget(monkeypatch):
+    # one worker, so that every batch runs in this process, where it is recorded
     assert nt.batch_size(2) >= 25 and 4 <= nt.batch_size(3) <= 8 and nt.batch_size(4) == 1
     chois = np.concatenate([_unit_chois(_batch_maps())] * 2)
     sizes = []
@@ -313,11 +338,150 @@ def test_lockstep_batches_follow_the_byte_budget():
         sizes.append(len(stack))
         return real(stack, *args)
 
-    import unittest.mock as mock
-    with mock.patch.object(nt, "_lockstep", recording):
-        results = nt.solve_diamond(chois)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(nt, "_lockstep", recording)
+    results = nt.solve_diamond(chois)
     assert sizes == [nt.batch_size(3), len(chois) - nt.batch_size(3)]
     assert all(isinstance(sol, nt.SdpSolution) and sol.gap <= 1e-9 for sol in results)
+
+
+def _cpus(monkeypatch, count):
+    """Let solve_diamond see ``count`` usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def _d3_chois():
+    """Nine d = 3 maps at scales from 1e-3 to 2.4: three lockstep batches."""
+    chois = [choi(s, 3) for s in _batch_maps()]
+    return np.array(chois + [0.01 * j for j in chois] + [1e-3 * chois[3]])
+
+
+def _d4_chois():
+    gen = builtin_model("random", dict(d=4, m=3, seed=2))
+    return np.array([choi(term_superop(gen, k, with_rate=True), 4) for k in (1, 2, 3)])
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("chois", [_d3_chois, _d4_chois])
+def test_workers_give_the_same_results_to_the_bit(monkeypatch, chois):
+    chois = chois()
+    batches = -(-len(chois) // nt.batch_size(int(round(np.sqrt(chois.shape[-1])))))
+    assert batches == 3
+    _cpus(monkeypatch, 1)
+    serial = nt.solve_diamond(chois)
+    assert all(isinstance(sol, nt.SdpSolution) and sol.gap <= TOL.sdp_gap_tol / 10 for sol in serial)
+    for cpus in (2, 16):  # two workers; more CPUs than batches, so one worker per batch
+        _cpus(monkeypatch, cpus)
+        assert workers._worker_count(batches) == min(cpus, batches)
+        assert all(map(identical, serial, nt.solve_diamond(chois)))
+    _assert_no_child_left()
+
+
+def test_failure_in_a_workers_share_stays_with_its_item(monkeypatch):
+    _cpus(monkeypatch, 2)
+    chois = _d3_chois()[:8]
+    chois[5, 0, 0] = np.nan  # in the second share, solved by a forked child
+    results = nt.solve_diamond(chois)
+    assert isinstance(results[5], SdpConvergenceError)
+    assert "non-finite" in results[5].reason and results[5].iterations == 0
+    for i in (4, 6, 7):
+        assert identical(results[i], nt.solve_diamond(chois[i:i + 1])[0])
+    _assert_no_child_left()
+
+
+def _in_children(monkeypatch, act):
+    """Make every forked child do ``act()`` before its first lockstep batch."""
+    parent, real = os.getpid(), nt._lockstep
+
+    def lockstep(*args):
+        if os.getpid() != parent:
+            act()
+        return real(*args)
+
+    monkeypatch.setattr(nt, "_lockstep", lockstep)
+
+
+def test_share_of_a_child_without_a_result_is_solved_here(monkeypatch):
+    chois = _d3_chois()
+    _cpus(monkeypatch, 1)
+    serial = nt.solve_diamond(chois)
+    _cpus(monkeypatch, 3)
+    _in_children(monkeypatch, lambda: os._exit(1))
+    assert all(map(identical, serial, nt.solve_diamond(chois)))
+    _assert_no_child_left()
+
+
+def test_share_that_cannot_be_forked_is_solved_here(monkeypatch):
+    chois = _d3_chois()
+    _cpus(monkeypatch, 1)
+    serial = nt.solve_diamond(chois)
+    real, forks = os.fork, []
+
+    def fork():
+        forks.append(len(forks))
+        if len(forks) > 1:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return real()
+
+    _cpus(monkeypatch, 3)
+    monkeypatch.setattr(os, "fork", fork)
+    assert all(map(identical, serial, nt.solve_diamond(chois)))
+    assert forks == [0, 1]
+    _assert_no_child_left()
+
+
+def test_exception_in_a_child_reaches_the_caller(monkeypatch):
+    def refuse():
+        raise MemoryError("no room for the Schur complement")
+
+    _cpus(monkeypatch, 2)
+    _in_children(monkeypatch, refuse)
+    with pytest.raises(MemoryError, match="no room"):
+        nt.solve_diamond(_d3_chois())
+    _assert_no_child_left()
+
+
+def test_no_child_outlives_an_exception_here(monkeypatch):
+    # the children are still solving (or blocked on their pipes) when this
+    # process's own share raises: they are killed and reaped
+    parent, real = os.getpid(), nt._lockstep
+
+    def lockstep(*args):
+        if os.getpid() == parent:
+            raise RuntimeError("interrupted")
+        return real(*args)
+
+    _cpus(monkeypatch, 3)
+    monkeypatch.setattr(nt, "_lockstep", lockstep)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        nt.solve_diamond(_d3_chois())
+    _assert_no_child_left()
+
+
+def test_small_map_is_solved_from_a_unit_scale_start():
+    # a d = 3 sweep point (s2_det, N = 64, of the benchmark's exact d = 3
+    # model): ||J||_F = 2.8e-5, and its unit-scale copy converges in 8
+    # iterations, where the unscaled start at X = S = I took 11
+    from sdp_reference import reference_diamond_norm
+
+    gen = builtin_model("random", dict(d=3, m=4, seed=11))
+    superop = exact_channel(gen, 1.0) - np.linalg.matrix_power(s2_det(gen, 1.0 / 64), 64)
+    assert np.linalg.norm(choi(superop, 3)) < 1e-4
+    (sol,) = nt.solve_diamond(choi(superop, 3)[None])
+    assert sol.gap <= 1e-9 and sol.iterations == 8
+    assert abs(sol.value - reference_diamond_norm(superop).value) <= 1e-9
+
+
+def test_zero_and_non_finite_maps_keep_unit_scale():
+    zero, nan = np.zeros((4, 4)), np.full((4, 4), np.nan)
+    sol, err = nt.solve_diamond(np.array([zero, nan]))
+    assert abs(sol.value) <= 1e-9 and sol.gap <= 1e-9
+    assert isinstance(err, SdpConvergenceError)
+    assert "non-finite" in err.reason and err.iterations == 0
 
 
 def test_failure_stays_with_its_item():

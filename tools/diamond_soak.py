@@ -5,14 +5,19 @@ of Hermiticity-preserving maps: every term superoperator with its rate,
 every term without it, and differences between the exact channel and the
 forward first-order product formula at two step lengths.  All maps of one d
 go through ``lindsim.norms.diamond_norm_solutions`` in one call (lockstep
-batches of ``lindsim.sdp.batch_size(d)``); each map is then solved alone by
-the generic HKM solver kept in ``tests/sdp_reference.py``, and each
-certified value is checked against ``lindsim.norms.diamond_bracket``.  The
-results (failures, bracket violations, largest value difference, largest
-gap, iteration totals, per-solve times, and the worst (value - lower) / value
-and upper / value of the brackets) are printed and, with ``--bench``, stored
-per d under the key ``soak`` of that JSON file.  The exit code is 1 if any
-map failed to certify or lay outside its bracket.
+batches of ``lindsim.sdp.batch_size(d)``), twice: once with this process
+pinned to one CPU, so that one worker solves every batch, and once on every
+CPU it may use.  The two must give the same certificates to the bit.  Each
+map is then solved alone by the generic HKM solver kept in
+``tests/sdp_reference.py``, and each certified value is checked against
+``lindsim.norms.diamond_bracket``.  The results (failures, bracket
+violations, maps whose certificates differ between one worker and all,
+largest value difference, largest gap, iteration totals, the solve times
+with one worker and with all, per-solve times, and the worst
+(value - lower) / value and upper / value of the brackets) are printed and,
+with ``--bench``, stored per d under the key ``soak`` of that JSON file.
+The exit code is 1 if any map failed to certify, lay outside its bracket or
+differed between the two solves.
 
     python3 tools/diamond_soak.py --dims 2 3 4 5 --seeds 0 1 2 \
         --bench BENCH_diamond_batch.json
@@ -25,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import sys
 import time
@@ -40,7 +46,7 @@ from lindsim.models import builtin_model  # noqa: E402
 from lindsim.norms import diamond_bracket, diamond_norm_solutions  # noqa: E402
 from lindsim.sdp import SdpConvergenceError, batch_size  # noqa: E402
 from lindsim.tolerances import TOL  # noqa: E402
-from sdp_reference import reference_diamond_norm  # noqa: E402
+from sdp_reference import identical, reference_diamond_norm  # noqa: E402
 
 
 def soak_maps(d: int, seed: int, terms: int) -> list:
@@ -80,16 +86,31 @@ def bracket_check(maps, solved) -> dict:
             "bracket_ms_per_map_median": round(statistics.median(times), 2) if times else None}
 
 
+def timed_solutions(superops):
+    """``diamond_norm_solutions(superops)`` and its wall time in seconds."""
+    start = time.perf_counter()
+    solved = diamond_norm_solutions(superops)
+    return solved, time.perf_counter() - start
+
+
 def soak_dimension(d: int, seeds, terms: int) -> dict:
     maps = [m for seed in seeds for m in soak_maps(d, seed, terms)]
-    start = time.perf_counter()
-    solved = diamond_norm_solutions([s for _, s in maps])
-    batched_s = time.perf_counter() - start
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cpus)})  # one usable CPU: one worker
+    try:
+        serial, serial_s = timed_solutions([s for _, s in maps])
+    finally:
+        os.sched_setaffinity(0, cpus)
+    solved, batched_s = timed_solutions([s for _, s in maps])
     out = {
         "maps": len(maps),
         "batch_size": batch_size(d),
+        "cpus": len(cpus),
+        "one_worker_solve_s": round(serial_s, 4),
         "batched_solve_s": round(batched_s, 4),
         "batched_ms_per_map": round(1000 * batched_s / len(maps), 2),
+        "worker_mismatches": [label for (label, _), a, b in zip(maps, serial, solved)
+                              if not identical(a, b)],
         "failures": [f"{label}: {sol}" for (label, _), sol in zip(maps, solved)
                      if isinstance(sol, Exception)],
     }
@@ -137,7 +158,8 @@ def main(argv=None) -> int:
         doc = json.loads(path.read_text()) if path.exists() else {}
         doc.setdefault("soak", {}).update(results)
         path.write_text(json.dumps(doc, indent=1) + "\n")
-    failed = sum(len(r["failures"]) + len(r["bracket_violations"]) for r in results.values())
+    failed = sum(len(r["failures"]) + len(r["bracket_violations"]) + len(r["worker_mismatches"])
+                 for r in results.values())
     return 1 if failed else 0
 
 
