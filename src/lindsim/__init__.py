@@ -37,8 +37,7 @@ _EXPORTS = {
     "builtin_model": "models",
     **dict.fromkeys(("GeneratorStats", "diamond_norm", "generator_stats",
                      "power_contraction_check"), "norms"),
-    **dict.fromkeys(("GateSet", "apply_gateset", "draw_gateset", "gateset_channel",
-                     "mixture_estimate", "sample_gateset"), "sampling"),
+    "mixture_estimate": "sampling",
     **dict.fromkeys(("TOL", "Tolerances"), "tolerances"),
     "validate_all": "validation",
 }

@@ -75,7 +75,7 @@ def _cmd_simulate(args) -> int:
                           resolve_model, sweep_point_channel)
     from .lindblad import exact_channel, is_cptp
     from .linalg import devectorize, trace_distance, vectorize
-    from .norms import diamond_norm_certificates, generator_stats
+    from .norms import certified, diamond_norm_solutions, generator_stats
 
     spec = load_experiment(args.config)
     gen = resolve_model(spec)
@@ -91,8 +91,8 @@ def _cmd_simulate(args) -> int:
         n = point_steps(spec, stats, method, spec.grid[0])
         points.append((method, n, *sweep_point_channel(spec, gen, method, n, t_exact)))
     # every batch-mean error map of every method, certified in one batch
-    solved = iter(diamond_norm_certificates(
-        [m for *_, batch_errors in points for m in batch_errors or ()]))
+    solved = iter(certified(diamond_norm_solutions(
+        [m for *_, batch_errors in points for m in batch_errors or ()])))
     for method, n, total, batch_errors in points:
         rho_approx = devectorize(total @ vectorize(rho0.matrix))
         dist = trace_distance(rho_t, rho_approx)
@@ -108,24 +108,22 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    from .harness import fit_order, load_experiment, run_sweep, write_sweep
+    from .harness import fit_order, load_experiment, order_points, run_sweep, write_sweep
 
     spec = load_experiment(args.config)
     records = run_sweep(spec)
     write_sweep(spec, records)
     failures = [r for r in records if r.status != "ok"]
-    ok_records = [r for r in records if r.status == "ok"]
     for r in records:
         extra = f" stat_err={r.stat_err:.3e}" if r.stat_err is not None else ""
         print(f"{r.method.value:<8} N={r.n:<6} eps={r.epsilon_empirical:.3e} "
               f"bound={r.epsilon_bound:.3e} gates_cs={r.gates_cs}{extra} [{r.status}]")
     by_method = {}
-    for r in ok_records:
+    for r in records:
         by_method.setdefault(r.method, []).append(r)
     for method, rows in by_method.items():
-        if len(rows) >= 3:
-            slope = fit_order(rows)[method]
-            print(f"order {method.value}: slope {slope:+.3f}")
+        if len(order_points(rows, method)) >= 3:
+            print(f"order {method.value}: slope {fit_order(rows)[method]:+.3f}")
     print(f"wrote {spec.outputs}/sweep.csv")
     if not failures:
         return 0

@@ -22,6 +22,7 @@ from .linalg import DensityMatrix, devectorize, trace_distance, vectorize
 from .models import builtin_model
 from .norms import GeneratorStats, diamond_norm_solutions, generator_stats
 from .sampling import trajectory_sum
+from .tolerances import TOL
 
 __all__ = [
     "ConfigError",
@@ -31,6 +32,7 @@ __all__ = [
     "fit_order",
     "initial_state",
     "load_experiment",
+    "order_points",
     "point_steps",
     "resolve_model",
     "run_sweep",
@@ -199,10 +201,18 @@ def initial_state(spec: ExperimentSpec, dim: int) -> DensityMatrix:
 
 def point_steps(spec: ExperimentSpec, stats: GeneratorStats, method: Method, value) -> int:
     """N of a method's sweep point at one grid value: the value itself on an
-    n grid, the step count for that precision on an epsilon grid."""
+    n grid, the step count for that precision on an epsilon grid.
+
+    An epsilon below N * 2**-53 is refused: rounding in N steps alone is
+    about N unit roundoffs, so no N-step product can reach it.
+    """
     if spec.n_grid:
         return int(value)
-    return step_count(method, stats, spec.t, value, conservative=spec.conservative).n_steps
+    n = step_count(method, stats, spec.t, value, conservative=spec.conservative).n_steps
+    if n * 2.0**-53 > value:
+        raise ConfigError(f"{method.value}: epsilon {value:.3e} needs N={n} steps, whose rounding "
+                          f"alone is about N * 2**-53 = {n * 2.0**-53:.3e}")
+    return n
 
 
 def trajectory_batches(count: int) -> list:
@@ -350,15 +360,26 @@ def write_sweep(spec: ExperimentSpec, records) -> None:
         fh.write("plot " + ", \\\n     ".join(parts) + "\n")
 
 
+def order_points(records, method: Method) -> list:
+    """(N, error) of a method's ok points that an order fit reads, sorted by N.
+
+    An error at or below ``TOL.sdp_gap_tol``, the largest gap an accepted
+    certificate may have, is rounding, not convergence, and is left out.
+    """
+    return sorted((r.n, r.epsilon_empirical) for r in records if r.method == method
+                  and r.status == "ok" and r.epsilon_empirical > TOL.sdp_gap_tol)
+
+
 def fit_order(records) -> dict:
-    """Least-squares slope of log(error) vs log(N), one entry per method."""
+    """Least-squares slope of log(error) vs log(N) over ``order_points``, one
+    entry per method."""
     slopes = {}
     for method in {r.method for r in records}:
-        pts = [(r.n, r.epsilon_empirical) for r in records
-               if r.method == method and r.status == "ok" and r.epsilon_empirical > 0]
+        pts = order_points(records, method)
         if len(pts) < 3:
-            raise ValueError(f"need at least 3 points to fit an order for {method.value}")
-        ns, eps = zip(*sorted(pts))
+            raise ValueError(f"need at least 3 points above {TOL.sdp_gap_tol:.0e} "
+                             f"to fit an order for {method.value}")
+        ns, eps = zip(*pts)
         # closed form: the first np.polyfit of a process (LAPACK gelsd) added
         # 0.5 MB to a sweep's peak RSS, after its solves
         x, y = np.log(ns), np.log(eps)

@@ -11,9 +11,9 @@ arXiv:1207.5726):
 solved by the in-repo Nesterov-Todd interior-point method of ``lindsim.sdp``
 (no external solver).  ``diamond_norm_solutions`` certifies many maps in one
 call: maps of one dimension are solved together in lockstep batches, and
-each map keeps its own certificate or error.  ``diamond_norm_certificates``
-raises the first map's error instead of returning it, and ``diamond_norm``
-and ``diamond_norm_solution`` are its one-map cases.  ``diamond_bracket``
+each map keeps its own certificate or error; ``certified`` of that list
+raises the first map's error instead, and ``diamond_norm`` and
+``diamond_norm_solution`` are its one-map cases.  ``diamond_bracket``
 bounds the norm from both sides by feasible points of the program, unsolved.
 """
 
@@ -36,7 +36,6 @@ __all__ = [
     "certified",
     "diamond_bracket",
     "diamond_norm",
-    "diamond_norm_certificates",
     "diamond_norm_solution",
     "diamond_norm_solutions",
     "generator_stats",
@@ -85,12 +84,6 @@ def diamond_norm_solutions(superops) -> list:
     return results
 
 
-def diamond_norm_certificates(superops) -> list:
-    """Each map's ``SdpSolution``, solved as ``diamond_norm_solutions`` does;
-    raises the first map's exception instead of returning it."""
-    return certified(diamond_norm_solutions(superops))
-
-
 def certified(solutions) -> list:
     """``solutions`` as given once none is an exception; else raises the first that is."""
     for sol in solutions:
@@ -101,7 +94,7 @@ def certified(solutions) -> list:
 
 def diamond_norm_solution(superop: np.ndarray) -> SdpSolution:
     """Solve the diamond-norm SDP and return the full certificate."""
-    return diamond_norm_certificates([superop])[0]
+    return certified(diamond_norm_solutions([superop]))[0]
 
 
 def diamond_norm(superop: np.ndarray) -> float:
@@ -213,6 +206,7 @@ def power_contraction_check(t_chan: np.ndarray, v_chan: np.ndarray, n, slack: fl
     list of verdicts, in order, for several.
     """
     ns = [n] if isinstance(n, Integral) else [int(k) for k in n]
-    rhs, *lhs = [sol.value for sol in diamond_norm_certificates(power_contraction_maps(t_chan, v_chan, ns))]
+    maps = power_contraction_maps(t_chan, v_chan, ns)
+    rhs, *lhs = [sol.value for sol in certified(diamond_norm_solutions(maps))]
     holds = [bool(value <= k * rhs + slack) for value, k in zip(lhs, ns)]
     return holds[0] if isinstance(n, Integral) else holds

@@ -1,4 +1,4 @@
-"""Seeded gate-set sampling and trajectory averaging.
+"""Seeded schedule sampling and trajectory averaging.
 
 Trajectory r draws its whole schedule from one Philox stream (key: the seed,
 counter: r << 128) as one (n, w) array of uniforms.  Row l is step l, read
@@ -15,40 +15,16 @@ window of w steps (``_window`` picks w).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .formulas import METHODS, Method, step_count
+from .formulas import METHODS, Method
 from .lindblad import GkslGenerator
-from .linalg import DensityMatrix, devectorize, vectorize
-from .norms import GeneratorStats, generator_stats
 
-__all__ = [
-    "GateSet", "apply_gateset", "draw_gateset", "gateset_channel",
-    "mixture_estimate", "sample_gateset", "trajectory_channels", "trajectory_sum",
-]
+__all__ = ["mixture_estimate", "trajectory_channels", "trajectory_sum"]
 
 _CHUNK = 256  # trajectory_sum multiplies out this many at once: memory does not grow with the count
 _TABLE_BYTES = 1 << 22  # largest window table _products builds
 _CALL_COST = 8  # one stacked matmul call costs about as much as 8 small products in it
-
-
-@dataclass(frozen=True)
-class GateSet:
-    """Ordered schedule of channel steps; steps[0] acts on the state first."""
-
-    steps: tuple
-    seed: int
-    method: Method
-    dt: float
-    n_steps: int
-
-    def __post_init__(self):
-        if len(self.steps) != self.n_steps:
-            raise ValueError(f"{len(self.steps)} steps but n_steps={self.n_steps}")
-        if self.dt <= 0:
-            raise ValueError("step length must be positive")
 
 
 def _uniforms(seed: int, trajectories: range, n: int, width: int) -> np.ndarray:
@@ -81,28 +57,11 @@ def _draw(method: Method, gen: GkslGenerator, t: float, n: int, seed: int,
     record = METHODS[method]
     sampler = record.sampler
     if sampler is None:
-        raise ValueError(f"gate sets exist only for the sampled methods, not {method.value}")
+        raise ValueError(f"schedules are drawn only for the sampled methods, not {method.value}")
     codes = sampler.codes(_uniforms(seed, trajectories, n, sampler.width(gen.m_total)), gen)
     distinct, index = np.unique(codes.ravel(), return_inverse=True)
     steps = [sampler.step(c, gen.m_total) for c in distinct.tolist()]
     return record.step_length(gen, t, n), steps, index.reshape(codes.shape)
-
-
-def draw_gateset(method: Method, gen: GkslGenerator, t: float, n: int, seed: int,
-                 trajectory: int = 0) -> GateSet:
-    """Draw an n-step gate set for one of the sampled methods."""
-    dt, steps, index = _draw(method, gen, t, n, seed, range(trajectory, trajectory + 1))
-    return GateSet(steps=tuple(steps[i] for i in index[0].tolist()), seed=seed, method=method,
-                   dt=dt, n_steps=n)
-
-
-def sample_gateset(method: Method, gen: GkslGenerator, t: float, epsilon: float, seed: int,
-                   stats: GeneratorStats | None = None, conservative: bool = False) -> GateSet:
-    """Draw a gate set sized by the method's step-count bound for ``epsilon``."""
-    if stats is None:
-        stats = generator_stats(gen)
-    bound = step_count(method, stats, t, epsilon, conservative=conservative)
-    return draw_gateset(method, gen, t, bound.n_steps, seed)
 
 
 def _window(k: int, n: int, batch: int, d2: int) -> int:
@@ -137,8 +96,6 @@ def _products(steps, index: np.ndarray, gen: GkslGenerator, dt: float) -> np.nda
     d2 = gen.dim**2
     table = np.array([s.channel(gen, dt) for s in steps], dtype=complex).reshape(-1, d2, d2)
     batch, n = index.shape
-    if n == 0:
-        return np.broadcast_to(np.eye(d2, dtype=complex), (batch, d2, d2)).copy()
     # real form [[Re, -Im], [Im, Re]]: real 2d^2-sided products are cheaper than
     # complex d^2-sided ones, and a running product needs only its first block column
     table = np.block([[table.real, -table.imag], [table.imag, table.real]])
@@ -155,23 +112,6 @@ def _products(steps, index: np.ndarray, gen: GkslGenerator, dt: float) -> np.nda
     for column in index.T[full:]:
         total = table[column] @ total
     return total[:, :d2] + 1j * total[:, d2:]
-
-
-def gateset_channel(gs: GateSet, gen: GkslGenerator) -> np.ndarray:
-    """Superoperator of the whole schedule (steps[0] applied first)."""
-    distinct = list(dict.fromkeys(gs.steps))
-    position = {step: i for i, step in enumerate(distinct)}
-    index = np.array([position[s] for s in gs.steps], dtype=np.intp).reshape(1, -1)
-    return _products(distinct, index, gen, gs.dt)[0]
-
-
-def apply_gateset(gs: GateSet, gen: GkslGenerator, rho0: DensityMatrix) -> DensityMatrix:
-    """Run the schedule on an initial state."""
-    rho = rho0.matrix if isinstance(rho0, DensityMatrix) else np.asarray(rho0, dtype=complex)
-    if rho.shape != (gen.dim, gen.dim):
-        raise ValueError(f"state shape {rho.shape} does not match dim {gen.dim}")
-    out = devectorize(gateset_channel(gs, gen) @ vectorize(rho))
-    return DensityMatrix(out)
 
 
 def trajectory_channels(method: Method, gen: GkslGenerator, t: float, n: int, seed: int,
@@ -191,7 +131,7 @@ def trajectory_sum(method: Method, gen: GkslGenerator, t: float, n: int, seed: i
 def mixture_estimate(method: Method, gen: GkslGenerator, t: float, n: int,
                      r_samples: int, seed: int) -> np.ndarray:
     """Monte Carlo average of r sampled schedule channels (unbiased for the exact
-    mixture channel power); r = 1 reproduces the default gate set."""
+    mixture channel power); r = 1 is trajectory 0's schedule channel."""
     if r_samples < 1:
         raise ValueError("need at least one trajectory")
     return trajectory_sum(method, gen, t, n, seed, range(r_samples)) / r_samples

@@ -274,21 +274,23 @@ def _checks_forking(seed: int):
 
 
 def _checks_sampling(seed: int):
-    from .sampling import draw_gateset, mixture_estimate
+    from .sampling import _draw, mixture_estimate
 
     out = []
     gen = builtin_model("random", dict(d=2, m=3, seed=7))
-    a = draw_gateset(Method.S2_RAN, gen, 1.0, 64, seed)
-    b = draw_gateset(Method.S2_RAN, gen, 1.0, 64, seed)
-    out.append(CheckResult("sampling", "deterministic_gatesets", a == b, "byte-identical draws"))
+    # one trajectory each: the step table, then its row of indices into it
+    _, steps_a, index_a = _draw(Method.S2_RAN, gen, 1.0, 64, seed, range(1))
+    _, steps_b, index_b = _draw(Method.S2_RAN, gen, 1.0, 64, seed, range(1))
+    same = steps_a == steps_b and np.array_equal(index_a, index_b)
+    out.append(CheckResult("sampling", "deterministic_gatesets", same, "byte-identical draws"))
 
-    coin = draw_gateset(Method.S1_RAN, gen, 1.0, 10_000, 42)
-    frac = sum(1 for s in coin.steps if s.direction == Direction.FORWARD) / 10_000
+    _, steps, index = _draw(Method.S1_RAN, gen, 1.0, 10_000, 42, range(1))
+    frac = sum(1 for i in index[0] if steps[i].direction == Direction.FORWARD) / 10_000
     out.append(CheckResult("sampling", "coin_frequency", 0.48 <= frac <= 0.52, f"forward {frac:.4f}"))
 
     amp3 = builtin_model("amp_damp", dict(gamma=3.0))
-    qd = draw_gateset(Method.QDRIFT, amp3, 1.0, 10_000, 42)
-    frac2 = sum(1 for s in qd.steps if s.k == 2) / 10_000
+    _, steps, index = _draw(Method.QDRIFT, amp3, 1.0, 10_000, 42, range(1))
+    frac2 = sum(1 for i in index[0] if steps[i].k == 2) / 10_000
     out.append(CheckResult("sampling", "rate_weighted_frequency", 0.73 <= frac2 <= 0.77,
                            f"term-2 {frac2:.4f}"))
 

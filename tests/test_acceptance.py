@@ -30,7 +30,7 @@ from lindsim.lindblad import exact_channel, is_cptp
 from lindsim.linalg import DensityMatrix, devectorize, kron, trace_distance, vectorize
 from lindsim.models import builtin_model
 from lindsim.norms import GeneratorStats, diamond_norm, diamond_norm_solution, generator_stats
-from lindsim.sampling import draw_gateset, gateset_channel, mixture_estimate
+from lindsim.sampling import _draw, mixture_estimate, trajectory_channels
 
 T = 1.0
 GRID = (4, 8, 16, 32, 64)
@@ -122,11 +122,11 @@ def test_criterion_3_cptp_physicality(sweep):
         gen = entry["gen"]
         for method in (Method.S1_RAN, Method.S2_RAN, Method.QDRIFT):
             for seed in (0, 42):
-                gs = draw_gateset(method, gen, T, 16, seed=seed)
-                if not is_cptp(gateset_channel(gs, gen), tol=1e-9):
-                    failures.append(f"{name}/{method.value}/gateset/seed={seed}")
+                channel = trajectory_channels(method, gen, T, 16, seed, range(1))[0]
+                if not is_cptp(channel, tol=1e-9):
+                    failures.append(f"{name}/{method.value}/schedule/seed={seed}")
     ok = _report(3, not failures,
-                 "all approximation channels and gate-set compositions CPTP at 1e-9"
+                 "all approximation channels and sampled schedules CPTP at 1e-9"
                  if not failures else "violations: " + " ".join(failures))
     assert ok
 
@@ -222,8 +222,8 @@ def test_criterion_8_sampled_trajectories():
     dist = diamond_norm(est - target)
 
     gen = _model("random")
-    gs = draw_gateset(Method.S1_RAN, gen, T, 10_000, seed=42)
-    frac = sum(1 for s in gs.steps if s.direction == Direction.FORWARD) / 10_000
+    _, steps, index = _draw(Method.S1_RAN, gen, T, 10_000, 42, range(1))
+    frac = sum(1 for i in index[0] if steps[i].direction == Direction.FORWARD) / 10_000
     ok = dist <= 0.05 and 0.48 <= frac <= 0.52
     assert _report(8, ok, f"qdrift mixture estimate r=4096: diamond distance {dist:.4f} "
                           f"(tol 0.05); coin frequency {frac:.4f} in [0.48, 0.52]")

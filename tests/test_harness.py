@@ -181,7 +181,7 @@ def test_trajectory_batches_are_contiguous_and_near_equal():
 
 def test_sampled_point_is_the_trajectory_mean():
     from lindsim.lindblad import exact_channel
-    from lindsim.norms import diamond_norm_certificates
+    from lindsim.norms import certified, diamond_norm_solutions
     from lindsim.sampling import mixture_estimate, trajectory_channels
 
     spec = ExperimentSpec(model="random d=2 m=3 seed=7", methods=(Method.S2_RAN,), t=1.0,
@@ -195,7 +195,7 @@ def test_sampled_point_is_the_trajectory_mean():
     for err, b in zip(batch_errors, batches):
         mean = trajectory_channels(Method.S2_RAN, gen, 1.0, 6, 3, b).mean(axis=0)
         assert np.max(np.abs(err - (t_exact - mean))) <= 1e-12
-    stat_err = batch_standard_error([sol.value for sol in diamond_norm_certificates(batch_errors)])
+    stat_err = batch_standard_error([sol.value for sol in certified(diamond_norm_solutions(batch_errors))])
     assert stat_err > 0
     expected = mixture_estimate(Method.S2_RAN, gen, 1.0, 6, r_samples=15, seed=3)
     assert np.max(np.abs(total - expected)) <= 1e-12
@@ -230,7 +230,7 @@ def test_sampled_sweep_certifies_batch_means_with_the_points(monkeypatch):
     # errors are the other; stat_err comes from those certificates
     import lindsim.norms as norms
     from lindsim.lindblad import exact_channel
-    from lindsim.norms import diamond_norm_certificates
+    from lindsim.norms import certified, diamond_norm_solutions
 
     spec = ExperimentSpec(model="random d=2 m=3 seed=7", methods=(Method.S1_RAN, Method.QDRIFT),
                           t=1.0, n_grid=(4, 8), seed=5, trajectories=32, sampled=True)
@@ -245,7 +245,7 @@ def test_sampled_sweep_certifies_batch_means_with_the_points(monkeypatch):
     for r in records:
         assert r.status == "ok"
         total, batch_errors = sweep_point_channel(spec, gen, r.method, r.n, t_exact)
-        sols = diamond_norm_certificates([t_exact - total, *batch_errors])
+        sols = certified(diamond_norm_solutions([t_exact - total, *batch_errors]))
         assert r.epsilon_empirical == pytest.approx(sols[0].value, abs=1e-9)
         assert r.stat_err == pytest.approx(batch_standard_error([s.value for s in sols[1:]]),
                                            abs=1e-9)

@@ -12,9 +12,9 @@ from lindsim.linalg import kron
 from lindsim.models import builtin_model
 from lindsim.norms import (
     GeneratorStats,
+    certified,
     diamond_bracket,
     diamond_norm,
-    diamond_norm_certificates,
     diamond_norm_solution,
     diamond_norm_solutions,
     generator_stats,
@@ -134,7 +134,7 @@ def test_soak_maps_lie_inside_their_brackets():
     # the maps of `tools/diamond_soak.py --dims 2 3 4 --seeds 0 1 2`
     soak = _diamond_soak()
     maps = [m for d in (2, 3, 4) for seed in (0, 1, 2) for m in soak.soak_maps(d, seed, 3)]
-    solved = diamond_norm_certificates([s for _, s in maps])
+    solved = certified(diamond_norm_solutions([s for _, s in maps]))
     check = soak.bracket_check(maps, solved)
     assert check["bracket_violations"] == []
     # every seesaw ends within 6.6e-6 relative of the value; a seesaw that

@@ -17,21 +17,25 @@ from lindsim.formulas import (
     s2_sigma,
 )
 from lindsim.lindblad import GkslGenerator, constituent_channel, is_cptp
-from lindsim.linalg import DensityMatrix, devectorize, vectorize
 from lindsim.models import builtin_model
 from lindsim.norms import diamond_norm
-from lindsim.sampling import (
-    GateSet,
-    apply_gateset,
-    draw_gateset,
-    gateset_channel,
-    mixture_estimate,
-    sample_gateset,
-    trajectory_channels,
-)
-from lindsim.sampling import _draw, _uniforms, _window
+from lindsim.sampling import mixture_estimate, trajectory_channels
+from lindsim.sampling import _draw, _products, _uniforms, _window
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
+
+
+def schedule(method, gen, t, n, seed, r=0):
+    """Step length and step list of trajectory r's schedule, steps[0] first."""
+    dt, steps, index = _draw(method, gen, t, n, seed, range(r, r + 1))
+    return dt, [steps[i] for i in index[0].tolist()]
+
+
+def schedule_channel(steps, gen, dt):
+    """Channel of a hand-built schedule, multiplied out by ``_products``."""
+    distinct = list(dict.fromkeys(steps))
+    index = np.array([[distinct.index(s) for s in steps]])
+    return _products(distinct, index, gen, dt)[0]
 
 
 @pytest.fixture(scope="module")
@@ -41,40 +45,52 @@ def gen():
 
 def test_draws_are_deterministic(gen):
     for method in (Method.S1_RAN, Method.S2_RAN, Method.QDRIFT):
-        a = draw_gateset(method, gen, 1.0, 32, seed=5)
-        b = draw_gateset(method, gen, 1.0, 32, seed=5)
+        a = schedule(method, gen, 1.0, 32, 5)
+        b = schedule(method, gen, 1.0, 32, 5)
         assert a == b
-        assert a != draw_gateset(method, gen, 1.0, 32, seed=6)
+        assert a != schedule(method, gen, 1.0, 32, 6)
 
 
 def test_draws_ignore_trailing_state(gen):
     # streams are indexed by (trajectory, step): a draw never depends on how
     # many draws happened before it
-    long = draw_gateset(Method.QDRIFT, gen, 1.0, 64, seed=5)
-    short = draw_gateset(Method.QDRIFT, gen, 1.0, 16, seed=5)
-    ratio = long.n_steps / short.n_steps  # dt differs, steps prefix-match
-    assert long.steps[:16] == short.steps
-    assert long.dt == pytest.approx(short.dt / ratio)
+    long_dt, long = schedule(Method.QDRIFT, gen, 1.0, 64, 5)
+    short_dt, short = schedule(Method.QDRIFT, gen, 1.0, 16, 5)
+    ratio = len(long) / len(short)  # dt differs, steps prefix-match
+    assert long[:16] == short
+    assert long_dt == pytest.approx(short_dt / ratio)
 
 
 def test_qdrift_single_term_always_first():
     single = GkslGenerator(dim=2, hamiltonian=SZ, terms=())
     for seed in (0, 1, 99):
-        gs = draw_gateset(Method.QDRIFT, single, 1.0, 10, seed=seed)
-        assert all(step == TermExp(k=1, with_rate=False) for step in gs.steps)
+        _, steps = schedule(Method.QDRIFT, single, 1.0, 10, seed)
+        assert all(step == TermExp(k=1, with_rate=False) for step in steps)
 
 
 def test_coin_frequency_concentration(gen):
-    gs = draw_gateset(Method.S1_RAN, gen, 1.0, 10_000, seed=42)
-    frac = sum(1 for s in gs.steps if s.direction == Direction.FORWARD) / 10_000
+    _, steps = schedule(Method.S1_RAN, gen, 1.0, 10_000, 42)
+    frac = sum(1 for s in steps if s.direction == Direction.FORWARD) / 10_000
     assert 0.48 <= frac <= 0.52
 
 
 def test_qdrift_frequency_concentration():
     amp = builtin_model("amp_damp", dict(gamma=3.0))  # p = (1/4, 3/4)
-    gs = draw_gateset(Method.QDRIFT, amp, 1.0, 10_000, seed=42)
-    frac = sum(1 for s in gs.steps if s.k == 2) / 10_000
+    _, steps = schedule(Method.QDRIFT, amp, 1.0, 10_000, 42)
+    frac = sum(1 for s in steps if s.k == 2) / 10_000
     assert 0.73 <= frac <= 0.77
+
+
+def test_sampling_suite_reads_the_same_draws():
+    # the suite's frequency checks read trajectory 0 of seed 42; these are its figures
+    from lindsim.validation import validate_all
+
+    results = {r.name: r for r in validate_all(seed=0, suite="sampling").results}
+    expected = {"deterministic_gatesets": "byte-identical draws",
+                "coin_frequency": "forward 0.5022",
+                "rate_weighted_frequency": "term-2 0.7464"}
+    for name, detail in expected.items():
+        assert results[name].passed and results[name].detail == detail
 
 
 SUPPORT_CASES = [(method, "random", dict(d=2, m=3, seed=7))
@@ -98,59 +114,30 @@ def test_draws_follow_the_support(method, model, params):
 
 
 def test_s2_permutations_are_uniformish(gen):
-    gs = draw_gateset(Method.S2_RAN, gen, 1.0, 6000, seed=3)
+    _, steps = schedule(Method.S2_RAN, gen, 1.0, 6000, 3)
     counts = {}
-    for step in gs.steps:
+    for step in steps:
         counts[step.perm] = counts.get(step.perm, 0) + 1
     assert len(counts) == 6  # all of Sym(3) appears
     assert min(counts.values()) > 6000 / 6 * 0.8
 
 
-def test_sample_gateset_sizes_by_bound(gen):
-    from lindsim.formulas import step_count
-    from lindsim.norms import generator_stats
-
-    stats = generator_stats(gen)
-    gs = sample_gateset(Method.QDRIFT, gen, 1.0, 0.5, seed=1, stats=stats)
-    assert gs.n_steps == step_count(Method.QDRIFT, stats, 1.0, 0.5).n_steps
-    assert gs.dt == pytest.approx(1.0 * stats.total_rate / gs.n_steps)
-
-
-def test_empty_gateset_is_identity(gen):
-    empty = GateSet(steps=(), seed=0, method=Method.S1_RAN, dt=0.1, n_steps=0)
-    assert np.array_equal(gateset_channel(empty, gen), np.eye(4))
-
-
 def test_all_forward_gateset_matches_formula_power(gen):
     n = 5
-    steps = tuple(S1Block(Direction.FORWARD) for _ in range(n))
-    gs = GateSet(steps=steps, seed=0, method=Method.S1_RAN, dt=0.2, n_steps=n)
+    steps = [S1Block(Direction.FORWARD)] * n
     expected = np.linalg.matrix_power(s1_dir(gen, 0.2, Direction.FORWARD), n)
-    assert np.max(np.abs(gateset_channel(gs, gen) - expected)) < 1e-12
+    assert np.max(np.abs(schedule_channel(steps, gen, 0.2) - expected)) < 1e-12
 
 
 def test_gateset_channel_is_cptp(gen):
     for method in (Method.S1_RAN, Method.S2_RAN, Method.QDRIFT):
-        gs = draw_gateset(method, gen, 1.0, 8, seed=11)
-        assert is_cptp(gateset_channel(gs, gen))
-
-
-def test_apply_gateset_returns_valid_state(gen):
-    gs = draw_gateset(Method.QDRIFT, gen, 1.0, 12, seed=2)
-    out = apply_gateset(gs, gen, DensityMatrix.ground(2))
-    assert isinstance(out, DensityMatrix)
-
-
-def test_apply_gateset_rejects_dim_mismatch(gen):
-    gs = draw_gateset(Method.QDRIFT, gen, 1.0, 4, seed=2)
-    with pytest.raises(ValueError, match="does not match"):
-        apply_gateset(gs, gen, np.eye(3) / 3)
+        assert is_cptp(trajectory_channels(method, gen, 1.0, 8, 11, range(1))[0])
 
 
 def test_mixture_estimate_single_sample_reproduces_gateset(gen):
     est = mixture_estimate(Method.S1_RAN, gen, 1.0, 6, r_samples=1, seed=9)
-    gs = draw_gateset(Method.S1_RAN, gen, 1.0, 6, seed=9)
-    assert np.array_equal(est, gateset_channel(gs, gen))
+    dt, steps = schedule(Method.S1_RAN, gen, 1.0, 6, 9)
+    assert np.array_equal(est, schedule_channel(steps, gen, dt))
 
 
 def test_mixture_estimate_tracks_exact_mixture(gen):
@@ -179,13 +166,10 @@ def test_qdrift_mixture_estimate_against_exact_power():
 
 
 def test_gateset_validation():
-    with pytest.raises(ValueError, match="n_steps"):
-        GateSet(steps=(S1Block(Direction.FORWARD),), seed=0, method=Method.S1_RAN,
-                dt=0.1, n_steps=3)
     with pytest.raises(ValueError, match="positive"):
-        draw_gateset(Method.S1_RAN, builtin_model("amp_damp"), 1.0, 0, seed=0)
+        _draw(Method.S1_RAN, builtin_model("amp_damp"), 1.0, 0, 0, range(1))
     with pytest.raises(ValueError, match="sampled methods"):
-        draw_gateset(Method.S1_DET, builtin_model("amp_damp"), 1.0, 4, seed=0)
+        _draw(Method.S1_DET, builtin_model("amp_damp"), 1.0, 4, 0, range(1))
 
 
 SAMPLED = (Method.S1_RAN, Method.S2_RAN, Method.QDRIFT)
@@ -198,16 +182,17 @@ def test_stacked_products_match_single_gatesets(method, d):
     stacked = trajectory_channels(method, g, 1.0, 8, 13, range(16))
     assert stacked.shape == (16, d * d, d * d)
     for r in range(16):
-        single = gateset_channel(draw_gateset(method, g, 1.0, 8, 13, trajectory=r), g)
+        dt, steps = schedule(method, g, 1.0, 8, 13, r)
+        single = schedule_channel(steps, g, dt)
         assert np.max(np.abs(stacked[r] - single)) <= 1e-12
 
 
 @pytest.mark.parametrize("method", SAMPLED)
 def test_draws_are_prefix_stable(gen, method):
     for r in (0, 3):
-        long = draw_gateset(method, gen, 1.0, 40, seed=5, trajectory=r)
-        short = draw_gateset(method, gen, 1.0, 7, seed=5, trajectory=r)
-        assert long.steps[:7] == short.steps
+        _, long = schedule(method, gen, 1.0, 40, 5, r)
+        _, short = schedule(method, gen, 1.0, 7, 5, r)
+        assert long[:7] == short
 
 
 @pytest.mark.parametrize("method", SAMPLED)
@@ -215,18 +200,16 @@ def test_trajectories_do_not_depend_on_their_batch(gen, method):
     whole = trajectory_channels(method, gen, 1.0, 6, 21, range(10))
     part = trajectory_channels(method, gen, 1.0, 6, 21, range(5, 10))
     assert np.max(np.abs(whole[5:] - part)) <= 1e-12
-    assert draw_gateset(method, gen, 1.0, 6, 21, trajectory=7) != draw_gateset(
-        method, gen, 1.0, 6, 21, trajectory=8)
+    assert schedule(method, gen, 1.0, 6, 21, 7) != schedule(method, gen, 1.0, 6, 21, 8)
 
 
 def test_repeated_permutations_match_loop_product(gen):
     perms = [(2, 1, 3), (1, 2, 3), (2, 1, 3), (3, 1, 2), (2, 1, 3), (1, 2, 3)]
-    gs = GateSet(steps=tuple(S2Block(p) for p in perms), seed=0, method=Method.S2_RAN,
-                 dt=0.1, n_steps=len(perms))
     expected = np.eye(4, dtype=complex)
     for p in perms:
         expected = s2_sigma(gen, 0.1, p) @ expected
-    assert np.max(np.abs(gateset_channel(gs, gen) - expected)) <= 1e-12
+    channel = schedule_channel([S2Block(p) for p in perms], gen, 0.1)
+    assert np.max(np.abs(channel - expected)) <= 1e-12
 
 
 def test_mixture_estimate_is_the_mean_over_chunks(gen):
@@ -239,20 +222,20 @@ def test_mixture_estimate_is_the_mean_over_chunks(gen):
 def test_permutation_codes_beyond_int64():
     # 17 terms: the base-17 permutation code exceeds int64
     big = builtin_model("random", dict(d=2, m=17, seed=1))
-    gs = draw_gateset(Method.S2_RAN, big, 1.0, 3, seed=2, trajectory=1)
-    assert all(sorted(s.perm) == list(range(1, 18)) for s in gs.steps)
+    dt, steps = schedule(Method.S2_RAN, big, 1.0, 3, 2, 1)
+    assert all(sorted(s.perm) == list(range(1, 18)) for s in steps)
     stacked = trajectory_channels(Method.S2_RAN, big, 1.0, 3, 2, range(2))
-    assert np.max(np.abs(stacked[1] - gateset_channel(gs, big))) <= 1e-12
+    assert np.max(np.abs(stacked[1] - schedule_channel(steps, big, dt))) <= 1e-12
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
 def test_draws_reject_seeds_outside_uint64(gen, seed):
     with pytest.raises(ValueError, match="seed"):
-        draw_gateset(Method.S1_RAN, gen, 1.0, 4, seed=seed)
+        _draw(Method.S1_RAN, gen, 1.0, 4, seed, range(1))
 
 
 def test_largest_seed_is_accepted(gen):
-    assert draw_gateset(Method.QDRIFT, gen, 1.0, 4, seed=2**64 - 1).n_steps == 4
+    assert len(schedule(Method.QDRIFT, gen, 1.0, 4, 2**64 - 1)[1]) == 4
 
 
 def test_schedules_follow_the_documented_stream(gen):
@@ -263,14 +246,14 @@ def test_schedules_follow_the_documented_stream(gen):
         rng = np.random.Generator(np.random.Philox(key=seed, counter=r << 128))
         return rng.random((n, width))
 
-    s1 = draw_gateset(Method.S1_RAN, gen, 1.0, n, seed, trajectory=r)
-    forward = [s.direction == Direction.FORWARD for s in s1.steps]
+    _, s1 = schedule(Method.S1_RAN, gen, 1.0, n, seed, r)
+    forward = [s.direction == Direction.FORWARD for s in s1]
     assert forward == list(uniforms(1)[:, 0] < 0.5)
-    s2 = draw_gateset(Method.S2_RAN, gen, 1.0, n, seed, trajectory=r)
-    assert [s.perm for s in s2.steps] == [tuple(np.argsort(u) + 1) for u in uniforms(m)]
-    qd = draw_gateset(Method.QDRIFT, gen, 1.0, n, seed, trajectory=r)
+    _, s2 = schedule(Method.S2_RAN, gen, 1.0, n, seed, r)
+    assert [s.perm for s in s2] == [tuple(np.argsort(u) + 1) for u in uniforms(m)]
+    _, qd = schedule(Method.QDRIFT, gen, 1.0, n, seed, r)
     cdf = np.cumsum(gen.rates / np.sum(gen.rates))
-    assert [s.k for s in qd.steps] == [min(1 + int(np.searchsorted(cdf, u, side="right")), m)
+    assert [s.k for s in qd] == [min(1 + int(np.searchsorted(cdf, u, side="right")), m)
                                        for u in uniforms(1)[:, 0]]
 
 
@@ -296,16 +279,16 @@ def test_trajectory_batches_share_term_exponentials(method, monkeypatch):
 # --- one Philox per batch, windowed products ---------------------------------
 
 
-def loop_product(gs, gen):
+def loop_product(dt, steps, gen):
     """The schedule's channel multiplied out one step at a time (the reference)."""
     total = np.eye(gen.dim**2, dtype=complex)
-    for step in gs.steps:
+    for step in steps:
         if isinstance(step, S1Block):
-            chan = s1_dir(gen, gs.dt, step.direction)
+            chan = s1_dir(gen, dt, step.direction)
         elif isinstance(step, S2Block):
-            chan = s2_sigma(gen, gs.dt, step.perm)
+            chan = s2_sigma(gen, dt, step.perm)
         else:
-            chan = constituent_channel(gen, step.k, gs.dt, with_rate=step.with_rate)
+            chan = constituent_channel(gen, step.k, dt, with_rate=step.with_rate)
         total = chan @ total
     return total
 
@@ -313,7 +296,7 @@ def loop_product(gs, gen):
 def assert_matches_loop(method, g, n, seed, trajectories):
     stacked = trajectory_channels(method, g, 1.0, n, seed, trajectories)
     for row, r in zip(stacked, trajectories):
-        expected = loop_product(draw_gateset(method, g, 1.0, n, seed, trajectory=r), g)
+        expected = loop_product(*schedule(method, g, 1.0, n, seed, r), g)
         assert np.max(np.abs(row - expected)) <= 1e-12
 
 

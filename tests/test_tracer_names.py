@@ -7,9 +7,12 @@ from pathlib import Path
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
-# traced names that no longer exist: validate_all moved to validation, and
-# the batched solver replaced solve_sdp
-KNOWN_MISSING = {("harness", "validate_all"), ("sdp", "solve_sdp")}
+# traced names that no longer exist: validate_all moved to validation, the
+# batched solver replaced solve_sdp, and every schedule is drawn and
+# multiplied out through trajectory_channels, which replaced draw_gateset and
+# gateset_channel
+KNOWN_MISSING = {("harness", "validate_all"), ("sdp", "solve_sdp"),
+                 ("sampling", "draw_gateset"), ("sampling", "gateset_channel")}
 
 
 def test_traced_layer_functions_exist():
