@@ -83,9 +83,6 @@ def _cmd_simulate(args) -> int:
     rho0 = initial_state(spec, gen.dim)
     t_exact = exact_channel(gen, spec.t)
     rho_t = devectorize(t_exact @ vectorize(rho0.matrix))
-    print(f"model: {spec.model}   t={spec.t}   M={stats.term_count}")
-    print("exact state rho(t):")
-    print(_fmt_state(rho_t))
     points = []
     for method in spec.methods:  # the first grid value only
         n = point_steps(spec, stats, method, spec.grid[0])
@@ -93,6 +90,9 @@ def _cmd_simulate(args) -> int:
     # every batch-mean error map of every method, certified in one batch
     solved = iter(certified(diamond_norm_solutions(
         [m for *_, batch_errors in points for m in batch_errors or ()])))
+    # the report is printed whole, once every point is built and certified
+    lines = [f"model: {spec.model}   t={spec.t}   M={stats.term_count}", "exact state rho(t):",
+             _fmt_state(rho_t)]
     for method, n, total, batch_errors in points:
         rho_approx = devectorize(total @ vectorize(rho0.matrix))
         dist = trace_distance(rho_t, rho_approx)
@@ -102,8 +102,9 @@ def _cmd_simulate(args) -> int:
         if batch_errors is not None:
             stat_err = batch_standard_error([next(solved).value for _ in batch_errors])
             sampled = f" sampled R={spec.trajectories} stat_err={stat_err:.3e}"
-        print(f"{method.value:<8} N={n:<6} trace_dist={dist:.3e} "
-              f"bound/2={bound / 2:.3e}{sampled} [{physical}]")
+        lines.append(f"{method.value:<8} N={n:<6} trace_dist={dist:.3e} "
+                     f"bound/2={bound / 2:.3e}{sampled} [{physical}]")
+    print("\n".join(lines))
     return 0
 
 

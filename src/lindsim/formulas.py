@@ -14,27 +14,26 @@ from __future__ import annotations
 
 import enum
 import functools
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .lindblad import GkslGenerator, constituent_channel
 from .norms import GeneratorStats
-from .tolerances import TOL
 
 __all__ = [
     "Direction",
+    "EveryOrder",
     "Implementation",
     "METHODS",
     "Method",
     "MethodRecord",
     "S1Block",
     "S2Block",
-    "Sampler",
     "StepBound",
+    "Support",
     "TermExp",
     "GATE_COMPLEXITY",
     "error_bound",
@@ -92,7 +91,7 @@ def s2_det(gen: GkslGenerator, dt: float) -> np.ndarray:
 
 def s1_ran_exact(gen: GkslGenerator, dt: float) -> np.ndarray:
     """Equal mixture of the forward and reversed first-order formulas."""
-    return _mixture(METHODS[Method.S1_RAN].support, gen, dt)
+    return METHODS[Method.S1_RAN].support(gen).mixture(gen, dt)
 
 
 def s2_sigma(gen: GkslGenerator, dt: float, sigma) -> np.ndarray:
@@ -113,29 +112,17 @@ def s2_sigma(gen: GkslGenerator, dt: float, sigma) -> np.ndarray:
 
 def s2_ran_exact(gen: GkslGenerator, dt: float) -> np.ndarray:
     """Uniform mixture of the permuted second-order formulas over all M! orders."""
-    return _mixture(METHODS[Method.S2_RAN].support, gen, dt)
+    return METHODS[Method.S2_RAN].support(gen).mixture(gen, dt)
 
 
 def qdrift_probs(gen: GkslGenerator) -> np.ndarray:
-    """Sampling weights proportional to the decay rates."""
-    rates = gen.rates
-    total = float(np.sum(rates))
-    if total <= 0:
-        raise ValueError("total decay rate is zero; nothing to simulate")
-    return rates / total
+    """Sampling weights proportional to the decay rates (the Hamiltonian's is 1)."""
+    return gen.rates / float(np.sum(gen.rates))
 
 
 def qdrift_exact(gen: GkslGenerator, omega: float) -> np.ndarray:
     """Rate-weighted mixture of single-term rate-free channels."""
-    return _mixture(METHODS[Method.QDRIFT].support, gen, omega)
-
-
-def _mixture(support: Callable, gen: GkslGenerator, dt: float) -> np.ndarray:
-    """Sum of w * step.channel(gen, dt) / sum of w over ``support(gen)``."""
-    if dt <= 0:
-        raise ValueError("step length must be positive")
-    weights, steps = support(gen)
-    return sum(w * step.channel(gen, dt) for w, step in zip(weights, steps)) / float(np.sum(weights))
+    return METHODS[Method.QDRIFT].support(gen).mixture(gen, omega)
 
 
 # ---------------------------------------------------------------------------
@@ -168,15 +155,66 @@ class TermExp:
         return constituent_channel(gen, self.k, dt, with_rate=self.with_rate)
 
 
-@dataclass(frozen=True)
-class Sampler:
-    """How a randomised method draws schedule steps from its record's support:
-    a draw takes ``width(m)`` uniforms per step, ``codes(u, gen)`` maps them to
-    integer step codes and ``step(code, m)`` is a code's step."""
+class Support(NamedTuple):
+    """Every schedule step a method can take, at its relative weight.  A drawn
+    step reads one uniform against the cumulative normalised weights, and its
+    code indexes ``steps``."""
 
-    width: Callable
-    codes: Callable
-    step: Callable
+    weights: tuple | np.ndarray
+    steps: list
+
+    width = 1
+
+    def mixture(self, gen: GkslGenerator, dt: float) -> np.ndarray:
+        if dt <= 0:
+            raise ValueError("step length must be positive")
+        total = sum(w * step.channel(gen, dt) for w, step in zip(self.weights, self.steps))
+        return total / float(np.sum(self.weights))
+
+    def codes(self, u: np.ndarray) -> np.ndarray:
+        cdf = np.cumsum(np.divide(self.weights, np.sum(self.weights)))
+        return np.minimum(np.searchsorted(cdf, u[..., 0], side="right"), len(self.steps) - 1)
+
+    def step(self, code: int):
+        return self.steps[code]
+
+
+@dataclass(frozen=True)
+class EveryOrder:
+    """The symmetric block in each of the m! term orders at equal weight, never
+    listed.  A drawn step reads m uniforms as the order argsort(u) + 1, coded
+    by its digits in base m (int64 holds m**m for m < 16).  In half-step term
+    channels E_k the block of order s is E_s1 ... E_sm E_sm ... E_s1, so the
+    sum over all orders is G({1..m}), G(S) = sum over k in S of E_k G(S - {k})
+    E_k, G({}) = I: 2**m * m products in place of m! * 2m."""
+
+    m: int
+
+    @property
+    def width(self) -> int:
+        return self.m
+
+    def mixture(self, gen: GkslGenerator, dt: float) -> np.ndarray:
+        if dt <= 0:
+            raise ValueError("step length must be positive")
+        d2 = gen.dim**2
+        # G(S) at bit mask S; allocated before any product, so an m too large
+        # for memory raises MemoryError at once
+        table = np.empty((2**self.m, d2, d2), dtype=complex)
+        table[0] = np.eye(d2)
+        halves = [constituent_channel(gen, k, dt / 2) for k in range(1, self.m + 1)]
+        for s in range(1, 2**self.m):
+            table[s] = sum(e @ table[s ^ 1 << j] @ e for j, e in enumerate(halves) if s >> j & 1)
+        return table[-1] / float(math.factorial(self.m))
+
+    def codes(self, u: np.ndarray) -> np.ndarray:
+        m = self.m
+        digits = np.array([m**j for j in range(m - 1, -1, -1)], dtype=np.int64 if m < 16 else object)
+        return np.argsort(u, axis=-1, kind="stable") @ digits
+
+    def step(self, code: int) -> S2Block:
+        m = self.m
+        return S2Block(tuple(1 + code // m**j % m for j in range(m - 1, -1, -1)))
 
 
 @dataclass(frozen=True)
@@ -185,13 +223,14 @@ class MethodRecord:
 
     ``bound(stats, t, n, conservative)`` is the large-N error bound, of order
     ``order`` in 1/n, and ``growth(stats, t, n)`` the exponent that
-    ``with_exp_factor`` restores.  ``support(gen)`` is ``(weights, steps)``:
-    every schedule step the method can take, with its relative weight (one
-    step for a deterministic method).  The exact one-step channel at step
-    length ``step_length(gen, t, n)`` is its weighted mean, and the fork
-    circuit prepares its control in those weights.  Gate counts are per step
-    and functions of M; ``gates_qf`` is None where forking is undefined.
-    ``sampler`` draws steps from the support of a randomised method.
+    ``with_exp_factor`` restores.  ``support(gen)`` is every schedule step
+    the method can take, at its relative weight: a ``Support`` (one step for
+    a deterministic method), or ``EveryOrder`` for s2_ran.  Its ``mixture``
+    at step length ``step_length(gen, t, n)`` is the exact one-step channel,
+    its ``codes`` and ``step`` draw the schedules of a ``randomised`` method,
+    and the fork circuit prepares its control in a ``Support``'s weights.
+    Gate counts are per step and functions of M; ``gates_qf`` is None where
+    forking is undefined.
     """
 
     label: str
@@ -204,11 +243,11 @@ class MethodRecord:
     gates_qf: Callable | None
     complexity_cs: str
     complexity_qf: str | None
-    sampler: Sampler | None = None  # None for the deterministic methods
+    randomised: bool = False  # schedules are drawn from the support
 
     def step_channel(self, gen: GkslGenerator, t: float, n: int) -> np.ndarray:
         """Exact one-step channel of an n-step schedule over time t."""
-        return _mixture(self.support, gen, self.step_length(gen, t, n))
+        return self.support(gen).mixture(gen, self.step_length(gen, t, n))
 
 
 def _sweep_growth(stats: GeneratorStats, t: float, n: int) -> float:
@@ -219,79 +258,48 @@ def _second_order_bound(stats: GeneratorStats, t: float, n: int, conservative: b
     return (stats.term_count * t * stats.max_scaled_norm) ** 3 / (3 * n**2)
 
 
-def _permutation_codes(u: np.ndarray, gen: GkslGenerator) -> np.ndarray:
-    """argsort(u) + 1 as its digits in base m; int64 holds m**m for m < 16."""
-    m = gen.m_total
-    digits = np.array([m**j for j in range(m - 1, -1, -1)], dtype=np.int64 if m < 16 else object)
-    return np.argsort(u, axis=-1, kind="stable") @ digits
-
-
-def _permutation_support(gen: GkslGenerator) -> tuple:
-    """Every term order at weight 1, refused beyond ``TOL.s2_ran_max_terms`` terms."""
-    m = gen.m_total
-    if m > TOL.s2_ran_max_terms:
-        raise ValueError(f"exact mixture over {m}! permutations refused (cap M <= "
-                         f"{TOL.s2_ran_max_terms}); use mixture_estimate for a sampled surrogate")
-    return (1.0,) * math.factorial(m), [S2Block(p) for p in itertools.permutations(range(1, m + 1))]
-
-
-def _term_codes(u: np.ndarray, gen: GkslGenerator) -> np.ndarray:
-    """Rate-weighted term draw: code k - 1 for term k, by inverse-CDF lookup."""
-    cdf = np.cumsum(qdrift_probs(gen))
-    return np.minimum(np.searchsorted(cdf, u[..., 0], side="right"), gen.m_total - 1)
-
-
 METHODS = {
     Method.S1_DET: MethodRecord(
         label="First-order deterministic", order=1,
         bound=lambda s, t, n, c: (t * s.max_scaled_norm * s.term_count) ** 2 / n,
         growth=_sweep_growth,
-        support=lambda gen: ((1.0,), [S1Block(Direction.FORWARD)]),
+        support=lambda gen: Support((1.0,), [S1Block(Direction.FORWARD)]),
         step_length=lambda gen, t, n: t / n,
         gates_cs=lambda m: m, gates_qf=None,
         complexity_cs="O((tΛ)²M³/ε)", complexity_qf=None),
     Method.S2_DET: MethodRecord(
         label="Second-order deterministic", order=2,
         bound=_second_order_bound, growth=_sweep_growth,
-        support=lambda gen: ((1.0,), [S2Block(tuple(range(1, gen.m_total + 1)))]),
+        support=lambda gen: Support((1.0,), [S2Block(tuple(range(1, gen.m_total + 1)))]),
         step_length=lambda gen, t, n: t / n,
         gates_cs=lambda m: 2 * m, gates_qf=None,
         complexity_cs="O((tΛ)^(3/2)M^(5/2)/√(3ε))", complexity_qf=None),
     Method.S1_RAN: MethodRecord(
         label="First-order randomised", order=2,
         bound=_second_order_bound, growth=_sweep_growth,
-        support=lambda gen: ((1.0, 1.0), [S1Block(d) for d in Direction]),
+        support=lambda gen: Support((1.0, 1.0), [S1Block(d) for d in Direction]),
         step_length=lambda gen, t, n: t / n,
         gates_cs=lambda m: m, gates_qf=lambda m: 2 * m + 2,
         complexity_cs="O((tΛ)^(3/2)M^(5/2)/√(3ε))",
-        complexity_qf="O((tΛ)^(3/2)M^(5/2)/√(3ε))",
-        sampler=Sampler(
-            width=lambda m: 1,  # code 0: forward sweep, 1: reversed
-            codes=lambda u, gen: (u[..., 0] >= 0.5).astype(np.int64),
-            step=lambda code, m: S1Block(Direction.REVERSED if code else Direction.FORWARD))),
+        complexity_qf="O((tΛ)^(3/2)M^(5/2)/√(3ε))", randomised=True),
     Method.S2_RAN: MethodRecord(
         label="Second-order randomised", order=2,
         bound=lambda s, t, n, c: (
             ((2.0 if c else 1.0) * s.max_scaled_norm * t) ** 3 * s.term_count**2 / n**2),
         growth=_sweep_growth,
-        support=_permutation_support,
+        support=lambda gen: EveryOrder(gen.m_total),
         step_length=lambda gen, t, n: t / n,
         gates_cs=lambda m: 2 * m, gates_qf=None,
-        complexity_cs="O((tΛ)^(3/2)M²/√ε)", complexity_qf=None,
-        sampler=Sampler(
-            width=lambda m: m, codes=_permutation_codes,
-            step=lambda code, m: S2Block(tuple(1 + code // m**j % m for j in range(m - 1, -1, -1))))),
+        complexity_cs="O((tΛ)^(3/2)M²/√ε)", complexity_qf=None, randomised=True),
     Method.QDRIFT: MethodRecord(
         label="QDRIFT", order=1,
         bound=lambda s, t, n, c: (t * s.total_rate * s.max_bare_norm) ** 2 / n,
         growth=lambda s, t, n: t * s.total_rate * s.max_bare_norm / n,
-        support=lambda gen: (gen.rates, [TermExp(k + 1, with_rate=False) for k in range(gen.m_total)]),
+        support=lambda gen: Support(gen.rates, [TermExp(k + 1, with_rate=False)
+                                                for k in range(gen.m_total)]),
         step_length=lambda gen, t, n: t * float(np.sum(gen.rates)) / n,
         gates_cs=lambda m: 1, gates_qf=lambda m: 3 * m - 2,
-        complexity_cs="O((tΓΩ)²/ε)", complexity_qf="O((tΓΩ)²M/ε)",
-        sampler=Sampler(
-            width=lambda m: 1, codes=_term_codes,
-            step=lambda code, m: TermExp(k=code + 1, with_rate=False))),
+        complexity_cs="O((tΓΩ)²/ε)", complexity_qf="O((tΓΩ)²M/ε)", randomised=True),
 }
 
 

@@ -240,7 +240,7 @@ def sweep_point_channel(spec: ExperimentSpec, gen: GkslGenerator, method: Method
     norms to ``batch_standard_error``.  Otherwise the channel is the exact
     mixture power.
     """
-    if spec.sampled and METHODS[method].sampler is not None:
+    if spec.sampled and METHODS[method].randomised:
         batches = trajectory_batches(spec.trajectories)
         sums = [trajectory_sum(method, gen, spec.t, n, spec.seed, b) for b in batches]
         return sum(sums) / spec.trajectories, [t_exact - s / len(b) for s, b in zip(sums, batches)]
@@ -400,9 +400,9 @@ def table1_report(m: int, t: float, lam: float, gamma: float, omega: float,
                            total_rate=gamma, term_count=m)
     header = f"{'method':<30} {'complexity':<28} {'N':>8} {'gates':>10}"
     lines = [header, "-" * len(header)]
-    rows = [(r.label + (" (CS)" if r.sampler else ""), k, Implementation.CS)
+    rows = [(r.label + (" (CS)" if r.randomised else ""), k, Implementation.CS)
             for k, r in METHODS.items()]
-    rows += [(f"{r.label} (QF)", k, Implementation.QF) for k, r in METHODS.items() if r.sampler]
+    rows += [(f"{r.label} (QF)", k, Implementation.QF) for k, r in METHODS.items() if r.randomised]
     for label, method, impl in rows:
         if (method, impl) not in GATE_COMPLEXITY:
             lines.append(f"{label:<30} {'infeasible (M!)':<28} {'-':>8} {'-':>10}")

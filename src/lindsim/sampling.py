@@ -2,10 +2,11 @@
 
 Trajectory r draws its whole schedule from one Philox stream (key: the seed,
 counter: r << 128) as one (n, w) array of uniforms.  Row l is step l, read
-by the method's ``Sampler`` in ``formulas.METHODS``: the forward sweep if
-u < 0.5 (s1_ran), the permutation argsort(u) + 1 (s2_ran), term
-searchsorted(cdf, u) (qdrift).  Row l depends on neither n nor other
-trajectories: schedules are bit-reproducible, prefix-stable in n and
+by the support of the method's record in ``formulas.METHODS``: a ``Support``
+reads one uniform against its cumulative weights (s1_ran: the forward sweep
+if u < 0.5; qdrift: term searchsorted(cdf, u)), and s2_ran's ``EveryOrder``
+reads w = M as the permutation argsort(u) + 1.  Row l depends on neither n
+nor other trajectories: schedules are bit-reproducible, prefix-stable in n and
 order-independent.  One Philox bit generator serves a whole batch: before
 each row its state is set to that trajectory's counter.  Steps are integer
 codes, so a batch of trajectories is multiplied out from a table of the
@@ -45,7 +46,7 @@ def _uniforms(seed: int, trajectories: range, n: int, width: int) -> np.ndarray:
 def _draw(method: Method, gen: GkslGenerator, t: float, n: int, seed: int,
           trajectories: range):
     """Step length, distinct steps and step indices (one row per trajectory) of
-    sampled schedules; the method's ``Sampler`` turns the uniforms into steps."""
+    sampled schedules; the method's support turns the uniforms into steps."""
     if n < 1:
         raise ValueError("step count must be a positive integer")
     if t <= 0:
@@ -55,12 +56,12 @@ def _draw(method: Method, gen: GkslGenerator, t: float, n: int, seed: int,
     if min(trajectories, default=0) < 0:
         raise ValueError(f"trajectory indices must be nonnegative, not {trajectories!r}")
     record = METHODS[method]
-    sampler = record.sampler
-    if sampler is None:
+    if not record.randomised:
         raise ValueError(f"schedules are drawn only for the sampled methods, not {method.value}")
-    codes = sampler.codes(_uniforms(seed, trajectories, n, sampler.width(gen.m_total)), gen)
+    support = record.support(gen)
+    codes = support.codes(_uniforms(seed, trajectories, n, support.width))
     distinct, index = np.unique(codes.ravel(), return_inverse=True)
-    steps = [sampler.step(c, gen.m_total) for c in distinct.tolist()]
+    steps = [support.step(c) for c in distinct.tolist()]
     return record.step_length(gen, t, n), steps, index.reshape(codes.shape)
 
 

@@ -26,8 +26,6 @@ class Tolerances:
     diamond_abs_tol: float = 1e-6    # absolute accuracy of returned value
     sdp_gap_tol: float = 1e-7        # max duality gap of an accepted solve
     sdp_max_iters: int = 500
-    # exact-mixture cap for the second-order randomised formula
-    s2_ran_max_terms: int = 6        # M! channel products beyond this refused
     # forking register cap (side of the composite density matrix)
     fork_dim_cap: int = 64
 

@@ -81,10 +81,11 @@ NUMBERS = st.one_of(
 
 
 def run_cli(argv):
-    """Exit code and stderr of one in-process CLI run; argparse's rejections are SystemExit(2).
-    A numpy ``RuntimeWarning`` would reach the user's stderr, so none may be raised."""
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+    """Exit code, stdout and stderr of one in-process CLI run; argparse's rejections are
+    SystemExit(2).  A numpy ``RuntimeWarning`` would reach the user's stderr, so none may
+    be raised."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
@@ -93,11 +94,11 @@ def run_cli(argv):
             code = exc.code
     runtime = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not runtime, (argv, runtime)
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def assert_exit_0_or_2(argv):
-    code, err = run_cli(argv)
+    code, _, err = run_cli(argv)
     assert code in (0, 2), (argv, code, err)
     assert "Traceback" not in err
     assert code == 0 or "error:" in err
@@ -143,15 +144,17 @@ MODELS = ("amp_damp gamma={}", "random d=2 m=2 seed={}", "random d=1000000000 m=
 
 @settings(max_examples=60, deadline=None)
 @given(command=st.sampled_from(["sweep", "simulate"]),
+       method=st.sampled_from([m.value for m in Method]),
        model=st.sampled_from(MODELS),
        grid=st.sampled_from([("n_grid", "4"), ("epsilon_grid", "0.1")]),
        odd=st.dictionaries(st.sampled_from(list(SWEEP_CONFIG)), NUMBERS, min_size=1, max_size=2))
 # an exact channel that overflows to inf is bad input, not a solver failure
-@example("sweep", MODELS[0], ("n_grid", "4"), {"model": "0.0", "t": "2.7958224665139688e+20"})
+@example("sweep", "s1_det", MODELS[0], ("n_grid", "4"),
+         {"model": "0.0", "t": "2.7958224665139688e+20"})
 # an epsilon below machine precision is bad input, not an astronomical N
-@example("sweep", MODELS[0], ("epsilon_grid", "0.1"),
+@example("sweep", "s1_det", MODELS[0], ("epsilon_grid", "0.1"),
          {"model": "17297280.0", "grid": "2.1012563011198427e-207"})
-def test_sweep_and_simulate_exit_0_1_or_2_on_any_numbers(command, model, grid, odd):
+def test_sweep_and_simulate_exit_0_1_or_2_on_any_numbers(command, method, model, grid, odd):
     import tempfile
     from pathlib import Path
 
@@ -160,10 +163,10 @@ def test_sweep_and_simulate_exit_0_1_or_2_on_any_numbers(command, model, grid, o
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "exp.ini"
         path.write_text(f"[experiment]\nmodel = {model.format(values['model'])}\n"
-                        f"methods = s1_det\nt = {values['t']}\n{grid_key} = {values['grid']}\n"
+                        f"methods = {method}\nt = {values['t']}\n{grid_key} = {values['grid']}\n"
                         f"seed = {values['seed']}\ntrajectories = {values['trajectories']}\n"
                         f"outputs = {Path(tmp) / 'out'}\n")
-        code, err = run_cli([command, str(path)])
+        code, _, err = run_cli([command, str(path)])
     assert code in (0, 1, 2), (values, code, err)
     assert "Traceback" not in err
     assert code != 1 or "solver failed" in err, (values, err)
@@ -182,9 +185,22 @@ def test_out_of_range_input_is_bad_input(command, model, t, grid, tmp_path):
     path = tmp_path / "exp.ini"
     path.write_text(f"[experiment]\nmodel = {model}\nmethods = s1_det\nt = {t}\n{grid}\n"
                     f"seed = 1\noutputs = {tmp_path / 'out'}\n")
-    code, err = run_cli([command, str(path)])
+    code, out, err = run_cli([command, str(path)])
     assert code == 2 and err.startswith("error:") and err.count("\n") == 1, err
+    assert out == ""  # simulate prints nothing until every point is built
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "simulate"])
+def test_s2_ran_table_beyond_memory_is_bad_input(command, tmp_path):
+    # the exact s2_ran step at m = 40 needs a 2**40-entry table, refused at once
+    path = tmp_path / "exp.ini"
+    path.write_text("[experiment]\nmodel = random d=2 m=40 seed=1\nmethods = s2_ran\nt = 0.1\n"
+                    f"n_grid = 4\nseed = 1\noutputs = {tmp_path / 'out'}\n")
+    code, out, err = run_cli([command, str(path)])
+    assert code == 2 and err.startswith("error:") and err.count("\n") == 1, err
+    assert "Unable to allocate" in err
+    assert command == "sweep" or out == ""
 
 
 def test_memory_error_in_a_solver_worker_is_bad_input(tmp_path, monkeypatch):
@@ -206,7 +222,7 @@ def test_memory_error_in_a_solver_worker_is_bad_input(tmp_path, monkeypatch):
     path = tmp_path / "d3.ini"
     path.write_text("[experiment]\nmodel = random d=3 m=3 seed=5\nmethods = s1_det s2_det\n"
                     f"t = 1.0\nn_grid = 4 8 16\nseed = 1\noutputs = {tmp_path / 'out'}\n")
-    code, err = run_cli(["sweep", str(path)])
+    code, _, err = run_cli(["sweep", str(path)])
     assert code == 2 and err == "error: input too large (no room for the Schur complement)\n"
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

@@ -152,11 +152,10 @@ def test_s2_ran_degenerate_terms_collapse():
 
 
 def test_s2_ran_cptp_and_cap(noncommuting):
+    # no cap on M: the exact mixture over 8! orders is a channel too
     assert is_cptp(s2_ran_exact(noncommuting, 0.2))
-    big = GkslGenerator(dim=2, hamiltonian=SZ,
-                        terms=tuple((SM, 1.0) for _ in range(7)))  # M = 8 > cap
-    with pytest.raises(ValueError, match="mixture_estimate"):
-        s2_ran_exact(big, 0.1)
+    big = GkslGenerator(dim=2, hamiltonian=SZ, terms=tuple((SM, 1.0) for _ in range(7)))
+    assert is_cptp(s2_ran_exact(big, 0.1))
 
 
 def test_qdrift_probs_examples():
@@ -243,7 +242,7 @@ def test_every_method_has_a_record():
     assert [METHODS[k].order for k in Method] == [1, 2, 2, 2, 1]
     assert [METHODS[k].gates_cs(5) for k in Method] == [5, 10, 5, 10, 1]
     assert [METHODS[k].gates_qf and METHODS[k].gates_qf(5) for k in Method] == [None, None, 12, None, 13]
-    assert [k for k in Method if METHODS[k].sampler] == [Method.S1_RAN, Method.S2_RAN, Method.QDRIFT]
+    assert [k for k in Method if METHODS[k].randomised] == [Method.S1_RAN, Method.S2_RAN, Method.QDRIFT]
 
 
 def test_step_length_is_t_over_n_or_rate_weighted(noncommuting):
@@ -338,31 +337,39 @@ def test_table1_strings_are_pinned():
     assert (Method.S2_RAN, Implementation.QF) not in GATE_COMPLEXITY
 
 
+def every_order_mean(gen, dt):
+    """The M! enumeration: the mean of the permuted second-order blocks."""
+    orders = list(itertools.permutations(range(1, gen.m_total + 1)))
+    return sum(s2_sigma(gen, dt, sigma) for sigma in orders) / len(orders)
+
+
 def test_s2_ran_exact_reuses_term_exponentials(monkeypatch):
     import lindsim.lindblad as lindblad
     from lindsim.linalg import mat_exp
 
     gen = builtin_model("random", dict(d=2, m=6, seed=3))
     dt = 0.2
-    # the uncached product: every half-step exponential recomputed in place
-    expected = np.zeros((4, 4), dtype=complex)
-    count = 0
-    for sigma in itertools.permutations(range(1, 7)):
-        forward = np.eye(4, dtype=complex)
-        for k in sigma:
-            forward = mat_exp(dt / 2 * term_superop(gen, k)) @ forward
-        backward = np.eye(4, dtype=complex)
-        for k in reversed(sigma):
-            backward = mat_exp(dt / 2 * term_superop(gen, k)) @ backward
-        expected += backward @ forward
-        count += 1
-    expected = expected / count
+    # the uncached recursion: G(S) = sum over k in S of E_k G(S - {k}) E_k, G({}) = I,
+    # every half-step exponential recomputed in place
+    table = [np.eye(4, dtype=complex)]
+    for s in range(1, 2**6):
+        table.append(sum(mat_exp(dt / 2 * term_superop(gen, j + 1)) @ table[s ^ 1 << j]
+                         @ mat_exp(dt / 2 * term_superop(gen, j + 1))
+                         for j in range(6) if s >> j & 1))
+    expected = table[-1] / 720.0
 
     calls = []
     monkeypatch.setattr(lindblad, "mat_exp", lambda a: calls.append(1) or mat_exp(a))
     got = s2_ran_exact(gen, dt)
     assert len(calls) <= 2 * gen.m_total
     assert np.array_equal(got, expected)
+    # the sum runs in another order than the enumeration's, so it agrees by rounding only
+    assert np.max(np.abs(got - every_order_mean(gen, dt))) <= 1e-13
+
+
+def test_s2_ran_exact_at_seven_terms_matches_every_order():
+    gen = builtin_model("random", dict(d=2, m=7, seed=1))
+    assert np.max(np.abs(s2_ran_exact(gen, 0.5) - every_order_mean(gen, 0.5))) <= 1e-13
 
 
 STEP_MODELS = [("amp_damp", {}), ("qubit3", {}), ("random", dict(d=3, m=4, seed=11))]

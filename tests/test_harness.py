@@ -299,9 +299,10 @@ def test_seed_outside_uint64_is_config_error(seed):
 
 
 def test_run_sweep_records_failures_and_continues(tmp_path):
-    # M = 8 exceeds the exact-mixture cap: the s2_ran record errors, rest run
-    spec = ExperimentSpec(model="random d=2 m=8 seed=1",
-                          methods=(Method.S2_RAN, Method.S1_DET), t=1.0,
+    # the exact s2_ran step's 2**40-entry table cannot be allocated: its
+    # record errors, the rest run
+    spec = ExperimentSpec(model="random d=2 m=40 seed=1",
+                          methods=(Method.S2_RAN, Method.S1_DET), t=0.1,
                           n_grid=(4,), seed=0, outputs=str(tmp_path / "out"))
     records = run_sweep(spec)
     by_method = {r.method: r for r in records}

@@ -1,4 +1,5 @@
 import contextlib
+import itertools
 import signal
 
 import numpy as np
@@ -94,7 +95,7 @@ def test_sampling_suite_reads_the_same_draws():
 
 
 SUPPORT_CASES = [(method, "random", dict(d=2, m=3, seed=7))
-                 for method, record in METHODS.items() if record.sampler]
+                 for method, record in METHODS.items() if record.randomised]
 SUPPORT_CASES.append((Method.QDRIFT, "amp_damp", dict(gamma=3.0)))
 
 
@@ -102,7 +103,11 @@ SUPPORT_CASES.append((Method.QDRIFT, "amp_damp", dict(gamma=3.0)))
 def test_draws_follow_the_support(method, model, params):
     # every drawn step is in the support, at its normalised weight within 5 sigma
     g = builtin_model(model, params)
-    weights, steps = METHODS[method].support(g)
+    if method == Method.S2_RAN:  # its support sums the orders without listing them
+        orders = list(itertools.permutations(range(1, g.m_total + 1)))
+        weights, steps = (1.0,) * len(orders), [S2Block(p) for p in orders]
+    else:
+        weights, steps = METHODS[method].support(g)
     probs = np.asarray(weights, dtype=float) / np.sum(weights)
     n = 20_000
     _, drawn, index = _draw(method, g, 1.0, n, 11, range(1))
