@@ -15,6 +15,11 @@ A_j W_b) is built from the program's structure: the equality rows see
 W_P Z W_P + W_Q Z W_Q, whose coordinates are products W[i, k] W[l, j]
 gathered over diagonal and off-diagonal index pairs, and the slack rows see
 the d^2 lifted basis matrices b (x) I.  That is d^8 work per iteration.
+Near a degenerate optimum the Schur complement's condition number passes
+1e16, and the rounding of a Newton step lifts the primal residual above the
+feasibility tolerance; a step that misses its primal equations by more than
+a tenth of that tolerance gets one round of iterative refinement, kept where
+the refined step misses by less.
 
 The iterates of a problem are one array of three blocks of one side,
 [P, Q, H (+) mu]: P and Q, and H and mu on the diagonal of one block, with
@@ -367,6 +372,18 @@ def _iterate(st: dict):
         dy = _solve(low, rp - _apply_a(_sym(rc - w_rd_w), d))
         ds = rd - _apply_at(dy, d)
         dx = _sym(rc - w @ ds @ w) * live
+        # one step of iterative refinement for the items whose step misses
+        # A(dX) = rp by more than refine_tol, kept where it misses by less
+        miss = rp - _apply_a(dx, d)
+        size = np.linalg.norm(miss, axis=1)
+        redo = np.flatnonzero(size > st["refine_tol"] * (1.0 + np.linalg.norm(st["v"], axis=1)))
+        if redo.size:
+            dy2 = dy[redo] + _solve(low[redo], miss[redo])
+            ds2 = rd[redo] - _apply_at(dy2, d)
+            dx2 = _sym(rc[redo] - w[redo] @ ds2 @ w[redo]) * live
+            keep = np.linalg.norm(rp[redo] - _apply_a(dx2, d), axis=1) < size[redo]
+            redo = redo[keep]
+            dy[redo], ds[redo], dx[redo] = dy2[keep], ds2[keep], dx2[keep]
         return dx, dy, ds, gi @ dx @ _dag(gi), _dag(g) @ ds @ g
 
     dx, _, ds, dx_scaled, ds_scaled = newton(-x)  # predictor
@@ -403,6 +420,7 @@ def _lockstep(chois: np.ndarray, scales: np.ndarray, feas_tol: float, max_iters:
     eye = np.repeat(np.eye(live.shape[-1]) * live[None], batch, axis=0).astype(complex)
     st = {"d": d, "x": eye, "s": eye.copy(), "y": np.zeros_like(v), "v": v,
           "gap_tol": np.minimum(1e-9 * np.maximum(1.0, scales), TOL.sdp_gap_tol / 10) / scales,
+          "refine_tol": np.full(batch, feas_tol / 10),
           "index": np.arange(batch),
           "best_rp": np.full(batch, np.inf), "stalled": np.zeros(batch, dtype=int)}
     results = [None] * batch

@@ -122,6 +122,18 @@ def test_bracket_contains_the_certified_value(d, k, seed):
     assert sol.value - sol.gap <= upper + 1e-9
 
 
+@pytest.mark.parametrize("seed", [827, 2087])
+def test_ill_conditioned_map_meets_the_feasibility_tolerance(seed):
+    # near the optimum of these maps the Schur complement's condition number
+    # passes 1e16; without iterative refinement of the Newton step the primal
+    # residual stalls at 1.5-1.8e-9, above the 1e-9 feasibility tolerance
+    s = _random_hp_map(2, 3, np.random.default_rng(seed))
+    sol = diamond_norm_solution(s)
+    assert sol.primal_residual <= 1e-9 and sol.gap <= 1e-9
+    lower, upper = diamond_bracket(s)
+    assert lower - 1e-9 <= sol.value <= upper + 1e-9
+
+
 def _diamond_soak():
     path = Path(__file__).resolve().parent.parent / "tools" / "diamond_soak.py"
     spec = importlib.util.spec_from_file_location("diamond_soak", path)
