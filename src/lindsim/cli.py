@@ -2,9 +2,10 @@
 
 Subcommands: simulate, sweep, validate, table1, gatecount.  Exit codes:
 0 success, 1 a validation check failed or the diamond-norm solver did not
-converge, 2 bad input.  A sweep that records failed points exits 1 if the
-solver failed on one of them, else 2: the others could not be built from
-the input.
+converge, 2 bad input.  A sweep or simulate that records failed points
+exits 1 if the solver failed on one of them, else 2: the others could not be
+built from the input.  Either prints one error line that names a failed
+point; simulate then prints nothing else.
 
 Each handler imports the modules its subcommand uses, so a sweep does not
 load the validation suites or the forking layer.
@@ -13,11 +14,12 @@ load the validation suites or the forking layer.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
 
-from .formulas import Implementation, Method, error_bound, gate_count
+from .formulas import Implementation, Method, gate_count
 from .sdp import SdpConvergenceError
 
 _SOLVER_ERRORS = (SdpConvergenceError, np.linalg.LinAlgError)
@@ -70,42 +72,42 @@ def _fmt_state(rho: np.ndarray) -> str:
     return "\n".join(rows)
 
 
+def _exit_status(records) -> int:
+    """0 if every point is ok.  Else one error line that names a failed point
+    (one the solver failed on, if any) and counts them, then 1 if the solver
+    failed on a point, else 2."""
+    failures = [r for r in records if r.status != "ok"]
+    if not failures:
+        return 0
+    unsolved = [r for r in failures if isinstance(r.error, _SOLVER_ERRORS)]
+    first = (unsolved or failures)[0].status.removeprefix("error: ")
+    print(f"error: {'solver failed: ' if unsolved else ''}{first} "
+          f"({len(failures)} of {len(records)} points failed)", file=sys.stderr)
+    return 1 if unsolved else 2
+
+
 def _cmd_simulate(args) -> int:
-    from .harness import (batch_standard_error, initial_state, load_experiment, point_steps,
-                          resolve_model, sweep_point_channel)
-    from .lindblad import exact_channel, is_cptp
-    from .linalg import devectorize, trace_distance, vectorize
-    from .norms import certified, diamond_norm_solutions, generator_stats
+    from .harness import initial_state, load_experiment, resolve_model, run_sweep
+    from .lindblad import exact_channel
+    from .linalg import devectorize, vectorize
 
     spec = load_experiment(args.config)
-    gen = resolve_model(spec)
-    stats = generator_stats(gen)
-    rho0 = initial_state(spec, gen.dim)
-    t_exact = exact_channel(gen, spec.t)
-    rho_t = devectorize(t_exact @ vectorize(rho0.matrix))
-    points = []
-    for method in spec.methods:  # the first grid value only
-        n = point_steps(spec, stats, method, spec.grid[0])
-        points.append((method, n, *sweep_point_channel(spec, gen, method, n, t_exact)))
-    # every batch-mean error map of every method, certified in one batch
-    solved = iter(certified(diamond_norm_solutions(
-        [m for *_, batch_errors in points for m in batch_errors or ()])))
-    # the report is printed whole, once every point is built and certified
-    lines = [f"model: {spec.model}   t={spec.t}   M={stats.term_count}", "exact state rho(t):",
-             _fmt_state(rho_t)]
-    for method, n, total, batch_errors in points:
-        rho_approx = devectorize(total @ vectorize(rho0.matrix))
-        dist = trace_distance(rho_t, rho_approx)
-        bound = error_bound(method, stats, spec.t, n, conservative=spec.conservative)
-        physical = "cptp" if is_cptp(total) else "NOT CPTP"
-        sampled = ""
-        if batch_errors is not None:
-            stat_err = batch_standard_error([next(solved).value for _ in batch_errors])
-            sampled = f" sampled R={spec.trajectories} stat_err={stat_err:.3e}"
-        lines.append(f"{method.value:<8} N={n:<6} trace_dist={dist:.3e} "
-                     f"bound/2={bound / 2:.3e}{sampled} [{physical}]")
-    print("\n".join(lines))
-    return 0
+    # the sweep's points at the first grid value, printed once all certify
+    records = run_sweep(dataclasses.replace(spec, n_grid=spec.n_grid[:1],
+                                            epsilon_grid=spec.epsilon_grid[:1]))
+    if all(r.status == "ok" for r in records):
+        gen = resolve_model(spec)
+        rho0 = initial_state(spec, gen.dim).matrix
+        lines = [f"model: {spec.model}   t={spec.t}   M={gen.m_total}", "exact state rho(t):",
+                 _fmt_state(devectorize(exact_channel(gen, spec.t) @ vectorize(rho0)))]
+        for r in records:
+            sampled = ("" if r.stat_err is None
+                       else f" sampled R={spec.trajectories} stat_err={r.stat_err:.3e}")
+            lines.append(f"{r.method.value:<8} N={r.n:<6} trace_dist={r.trace_dist:.3e} "
+                         f"bound/2={r.epsilon_bound / 2:.3e}{sampled} "
+                         f"[{'cptp' if r.cptp else 'NOT CPTP'}]")
+        print("\n".join(lines))
+    return _exit_status(records)
 
 
 def _cmd_sweep(args) -> int:
@@ -114,7 +116,6 @@ def _cmd_sweep(args) -> int:
     spec = load_experiment(args.config)
     records = run_sweep(spec)
     write_sweep(spec, records)
-    failures = [r for r in records if r.status != "ok"]
     for r in records:
         extra = f" stat_err={r.stat_err:.3e}" if r.stat_err is not None else ""
         print(f"{r.method.value:<8} N={r.n:<6} eps={r.epsilon_empirical:.3e} "
@@ -126,13 +127,7 @@ def _cmd_sweep(args) -> int:
         if len(order_points(rows, method)) >= 3:
             print(f"order {method.value}: slope {fit_order(rows)[method]:+.3f}")
     print(f"wrote {spec.outputs}/sweep.csv")
-    if not failures:
-        return 0
-    unsolved = [r for r in failures if isinstance(r.error, _SOLVER_ERRORS)]
-    first = (unsolved or failures)[0].status.removeprefix("error: ")
-    print(f"error: {'solver failed: ' if unsolved else ''}{first} "
-          f"({len(failures)} of {len(records)} points failed)", file=sys.stderr)
-    return 1 if unsolved else 2
+    return _exit_status(records)
 
 
 def _cmd_validate(args) -> int:

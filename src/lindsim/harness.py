@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .formulas import GATE_COMPLEXITY, METHODS, Implementation, Method, error_bound, gate_count, step_count
-from .lindblad import GkslGenerator, exact_channel, load_generator
+from .lindblad import GkslGenerator, exact_channel, is_cptp, load_generator
 from .linalg import DensityMatrix, devectorize, trace_distance, vectorize
 from .models import builtin_model
 from .norms import GeneratorStats, diamond_norm_solutions, generator_stats
@@ -108,6 +108,7 @@ class SweepRecord:
     status: str
     wall_time_ms: int
     stat_err: float | None = None
+    cptp: bool | None = None  # whether the total channel is CPTP; not written to the CSV
     error: Exception | None = None  # why a point failed; not written to the CSV
 
 
@@ -276,7 +277,7 @@ def run_sweep(spec: ExperimentSpec) -> list:
     points = [(method, point_steps(spec, stats, method, value))
               for method in spec.methods for value in spec.grid]
 
-    records, seconds, point_maps = [], [], []  # point_maps: (record index, maps, sampled)
+    records, seconds, point_maps = [], [], []  # point_maps: (record index, maps)
     for method, n in points:
         start = time.perf_counter()
         try:
@@ -289,19 +290,18 @@ def run_sweep(spec: ExperimentSpec) -> list:
                 gates_cs=gate_count(method, stats.term_count, n, Implementation.CS),
                 gates_qf=(gate_count(method, stats.term_count, n, Implementation.QF)
                           if METHODS[method].gates_qf else None),
-                status="ok", wall_time_ms=0)
-            point_maps.append((len(records), [t_exact - total, *(batch_errors or ())],
-                               batch_errors is not None))
+                status="ok", wall_time_ms=0, cptp=bool(is_cptp(total)))
+            point_maps.append((len(records), [t_exact - total, *(batch_errors or ())]))
         except Exception as exc:  # recorded, run continues
             record = _error_record(method, n, exc)
         records.append(record)
         seconds.append(time.perf_counter() - start)
 
-    maps = [m for _, point, _ in point_maps for m in point]
+    maps = [m for _, point in point_maps for m in point]
     start = time.perf_counter()
     solved = iter(diamond_norm_solutions(maps))
     share = (time.perf_counter() - start) / max(1, len(maps))
-    for i, point, sampled in point_maps:
+    for i, point in point_maps:
         sols = [next(solved) for _ in point]
         seconds[i] += share * len(point)
         failed = [sol for sol in sols if isinstance(sol, Exception)]
@@ -309,7 +309,7 @@ def run_sweep(spec: ExperimentSpec) -> list:
             records[i] = _error_record(records[i].method, records[i].n, failed[0])
         else:
             records[i].epsilon_empirical = sols[0].value
-            if sampled:
+            if len(sols) > 1:  # a sampled point's batch means follow its own error
                 records[i].stat_err = batch_standard_error([sol.value for sol in sols[1:]])
     for record, sec in zip(records, seconds):
         record.wall_time_ms = int(round(1000 * sec))

@@ -142,34 +142,52 @@ SWEEP_CONFIG = {"t": "1.0", "grid": None, "seed": "1", "trajectories": "8", "mod
 MODELS = ("amp_damp gamma={}", "random d=2 m=2 seed={}", "random d=1000000000 m=3 seed={}")
 
 
+def write_one_value_config(path, method, model, grid_key, values):
+    path.write_text(f"[experiment]\nmodel = {model.format(values['model'])}\n"
+                    f"methods = {method}\nt = {values['t']}\n{grid_key} = {values['grid']}\n"
+                    f"seed = {values['seed']}\ntrajectories = {values['trajectories']}\n"
+                    f"outputs = {path.parent / 'out'}\n")
+
+
 @settings(max_examples=60, deadline=None)
-@given(command=st.sampled_from(["sweep", "simulate"]),
-       method=st.sampled_from([m.value for m in Method]),
+@given(method=st.sampled_from([m.value for m in Method]),
        model=st.sampled_from(MODELS),
        grid=st.sampled_from([("n_grid", "4"), ("epsilon_grid", "0.1")]),
        odd=st.dictionaries(st.sampled_from(list(SWEEP_CONFIG)), NUMBERS, min_size=1, max_size=2))
 # an exact channel that overflows to inf is bad input, not a solver failure
-@example("sweep", "s1_det", MODELS[0], ("n_grid", "4"),
-         {"model": "0.0", "t": "2.7958224665139688e+20"})
+@example("s1_det", MODELS[0], ("n_grid", "4"), {"model": "0.0", "t": "2.7958224665139688e+20"})
 # an epsilon below machine precision is bad input, not an astronomical N
-@example("sweep", "s1_det", MODELS[0], ("epsilon_grid", "0.1"),
+@example("s1_det", MODELS[0], ("epsilon_grid", "0.1"),
          {"model": "17297280.0", "grid": "2.1012563011198427e-207"})
-def test_sweep_and_simulate_exit_0_1_or_2_on_any_numbers(command, method, model, grid, odd):
+# a point whose error does not certify fails simulate as it fails the sweep
+@example("s1_det", MODELS[1], ("n_grid", "4"), {"t": "280110205.0"})
+def test_sweep_and_simulate_exit_0_1_or_2_on_any_numbers(method, model, grid, odd):
     import tempfile
     from pathlib import Path
 
     grid_key, grid_value = grid
-    values = {**SWEEP_CONFIG, "grid": grid_value, **odd}
+    values = {**SWEEP_CONFIG, "grid": grid_value, **odd}  # one grid value: simulate's point
+    codes = []
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "exp.ini"
-        path.write_text(f"[experiment]\nmodel = {model.format(values['model'])}\n"
-                        f"methods = {method}\nt = {values['t']}\n{grid_key} = {values['grid']}\n"
-                        f"seed = {values['seed']}\ntrajectories = {values['trajectories']}\n"
-                        f"outputs = {Path(tmp) / 'out'}\n")
-        code, _, err = run_cli([command, str(path)])
-    assert code in (0, 1, 2), (values, code, err)
-    assert "Traceback" not in err
-    assert code != 1 or "solver failed" in err, (values, err)
+        write_one_value_config(path, method, model, grid_key, values)
+        for command in ("sweep", "simulate"):
+            code, _, err = run_cli([command, str(path)])
+            assert code in (0, 1, 2), (command, values, code, err)
+            assert "Traceback" not in err
+            assert code != 1 or "solver failed" in err, (command, values, err)
+            codes.append(code)
+    assert codes[0] == codes[1], (values, codes)
+
+
+def test_simulate_names_the_point_that_does_not_certify(tmp_path):
+    # at t = 2.8e8 the error map's SDP stalls; simulate reports the sweep's line
+    path = tmp_path / "exp.ini"
+    write_one_value_config(path, "s1_det", MODELS[1], "n_grid",
+                           {**SWEEP_CONFIG, "grid": "4", "t": "280110205.0"})
+    code, out, err = run_cli(["simulate", str(path)])
+    assert code == 1 and out == "", (code, out)
+    assert err.startswith("error: solver failed: s1_det N=4:") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("command", ["sweep", "simulate"])
@@ -391,7 +409,8 @@ def test_simulate_certifies_every_batch_mean_in_one_batch(tmp_path, capsys, monk
     path.write_text(SAMPLED_CONFIG.replace("methods = qdrift", "methods = s1_ran s2_ran qdrift")
                     .format(seed=5, out=tmp_path / "out"))
     assert main(["simulate", str(path)]) == 0
-    assert batches == [3, 3 * 8]  # generator_stats, then every method's batch means
+    # generator_stats, then every method's own error and batch means
+    assert batches == [3, 3 * (1 + 8)]
     lines = [l for l in capsys.readouterr().out.splitlines() if "sampled R=40 stat_err=" in l]
     assert [l.split()[0] for l in lines] == ["s1_ran", "s2_ran", "qdrift"]
     assert all(float(l.split("stat_err=")[1].split()[0]) > 0 for l in lines)
