@@ -111,7 +111,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    from .harness import fit_order, load_experiment, order_points, run_sweep, write_sweep
+    from .harness import fit_order, load_experiment, run_sweep, write_sweep
 
     spec = load_experiment(args.config)
     records = run_sweep(spec)
@@ -120,12 +120,8 @@ def _cmd_sweep(args) -> int:
         extra = f" stat_err={r.stat_err:.3e}" if r.stat_err is not None else ""
         print(f"{r.method.value:<8} N={r.n:<6} eps={r.epsilon_empirical:.3e} "
               f"bound={r.epsilon_bound:.3e} gates_cs={r.gates_cs}{extra} [{r.status}]")
-    by_method = {}
-    for r in records:
-        by_method.setdefault(r.method, []).append(r)
-    for method, rows in by_method.items():
-        if len(order_points(rows, method)) >= 3:
-            print(f"order {method.value}: slope {fit_order(rows)[method]:+.3f}")
+    for method, slope in fit_order(records).items():
+        print(f"order {method.value}: slope {slope:+.3f}")
     print(f"wrote {spec.outputs}/sweep.csv")
     return _exit_status(records)
 

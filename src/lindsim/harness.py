@@ -32,7 +32,7 @@ __all__ = [
     "fit_order",
     "initial_state",
     "load_experiment",
-    "order_points",
+    "log_slope",
     "point_steps",
     "resolve_model",
     "run_sweep",
@@ -75,17 +75,17 @@ class ExperimentSpec:
     def __post_init__(self):
         if bool(self.n_grid) == bool(self.epsilon_grid):
             raise ConfigError("exactly one of n_grid / epsilon_grid must be given")
-        grid = self.grid
-        if any(g <= 0 for g in grid):
-            raise ConfigError("grid values must be positive")
+        grid, key = self.grid, ("n_grid" if self.n_grid else "epsilon_grid")
+        if not all(0 < g < math.inf for g in grid):  # NaN fails both comparisons
+            raise ConfigError(f"{key} values must be positive and finite")
         increasing = all(a < b for a, b in zip(grid, grid[1:]))
         decreasing = all(a > b for a, b in zip(grid, grid[1:]))
         if not (increasing or decreasing):
             raise ConfigError("grid values must be strictly monotone")
         if min(self.epsilon_grid, default=1.0) < np.finfo(float).eps:
             raise ConfigError(f"epsilon_grid values below machine epsilon are out of reach: {min(grid):.3e}")
-        if self.t <= 0:
-            raise ConfigError("t must be positive")
+        if not 0 < self.t < math.inf:
+            raise ConfigError("t must be positive and finite")
         if self.trajectories < 1:
             raise ConfigError("trajectories must be positive")
         if not 0 <= self.seed < 2**64:
@@ -360,32 +360,28 @@ def write_sweep(spec: ExperimentSpec, records) -> None:
         fh.write("plot " + ", \\\n     ".join(parts) + "\n")
 
 
-def order_points(records, method: Method) -> list:
-    """(N, error) of a method's ok points that an order fit reads, sorted by N.
-
-    An error at or below ``TOL.sdp_gap_tol``, the largest gap an accepted
-    certificate may have, is rounding, not convergence, and is left out.
-    """
-    return sorted((r.n, r.epsilon_empirical) for r in records if r.method == method
-                  and r.status == "ok" and r.epsilon_empirical > TOL.sdp_gap_tol)
+def log_slope(xs, ys) -> float:
+    """Least-squares slope of log(ys) against log(xs)."""
+    # closed form: numpy's least-squares fit (LAPACK gelsd), on its first call
+    # in a process, added 0.5 MB to a sweep's peak RSS, after its solves
+    x, y = np.log(xs), np.log(ys)
+    x = x - x.mean()
+    return float(x @ (y - y.mean()) / (x @ x))
 
 
 def fit_order(records) -> dict:
-    """Least-squares slope of log(error) vs log(N) over ``order_points``, one
-    entry per method."""
-    slopes = {}
-    for method in {r.method for r in records}:
-        pts = order_points(records, method)
-        if len(pts) < 3:
-            raise ValueError(f"need at least 3 points above {TOL.sdp_gap_tol:.0e} "
-                             f"to fit an order for {method.value}")
-        ns, eps = zip(*pts)
-        # closed form: the first np.polyfit of a process (LAPACK gelsd) added
-        # 0.5 MB to a sweep's peak RSS, after its solves
-        x, y = np.log(ns), np.log(eps)
-        x = x - x.mean()
-        slopes[method] = float(x @ (y - y.mean()) / (x @ x))
-    return slopes
+    """Slope of log(error) against log(N) for each method with at least three
+    ok points whose error is above ``TOL.sdp_gap_tol``, keyed in the order the
+    methods first appear; every other method is left out.
+
+    An error at or below ``TOL.sdp_gap_tol``, the largest gap an accepted
+    certificate may have, is rounding, not convergence.
+    """
+    points = {r.method: [] for r in records}
+    for r in records:
+        if r.status == "ok" and r.epsilon_empirical > TOL.sdp_gap_tol:
+            points[r.method].append((r.n, r.epsilon_empirical))
+    return {method: log_slope(*zip(*sorted(pts))) for method, pts in points.items() if len(pts) >= 3}
 
 
 # ---------------------------------------------------------------------------

@@ -201,7 +201,7 @@ def _checks_identities(seed: int):
 
 
 def _checks_bounds(seed: int):
-    from .harness import ExperimentSpec, fit_order, run_sweep
+    from .harness import ExperimentSpec, fit_order, log_slope, run_sweep
 
     out = []
     t = 1.0
@@ -215,11 +215,12 @@ def _checks_bounds(seed: int):
         records = run_sweep(spec)
         violations += [f"{name}/{r.method.value}/N={r.n}" for r in records
                        if r.status == "ok" and r.epsilon_empirical > r.epsilon_bound]
-    # orders are fitted on the last, noncommuting model
-    for method, slope in sorted(fit_order(records).items(), key=lambda kv: kv[0].value):
-        good = abs(slope + METHODS[method].order) <= 0.15
-        slopes_ok = slopes_ok and good
-        slopes_detail.append(f"{method.value}:{slope:+.2f}")
+    # orders are fitted on the last, noncommuting model; a method without a fit fails
+    slopes = fit_order(records)
+    for method in sorted(spec.methods, key=lambda m: m.value):
+        slope = slopes.get(method)
+        slopes_ok = slopes_ok and slope is not None and abs(slope + METHODS[method].order) <= 0.15
+        slopes_detail.append(f"{method.value}:" + ("no fit" if slope is None else f"{slope:+.2f}"))
     out.append(CheckResult("bounds", "error_bounds_hold", not violations,
                            "no violations" if not violations else " ".join(violations)))
     out.append(CheckResult("bounds", "convergence_orders", slopes_ok, " ".join(slopes_detail)))
@@ -229,7 +230,7 @@ def _checks_bounds(seed: int):
     dts = np.array([0.2, 0.1, 0.05, 0.025])
     qdrift = METHODS[Method.QDRIFT]
     errs = [np.max(np.abs(qdrift.step_channel(gen, dt, 1) - exact_channel(gen, dt))) for dt in dts]
-    slope = float(np.polyfit(np.log(dts), np.log(errs), 1)[0])
+    slope = log_slope(dts, errs)
     out.append(CheckResult("bounds", "qdrift_first_order_cancellation",
                            abs(slope - 2.0) <= 0.2, f"slope {slope:+.2f}"))
     return [], lambda solved: out

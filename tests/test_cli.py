@@ -1,5 +1,6 @@
 import contextlib
 import io
+import re
 import warnings
 
 import numpy as np
@@ -10,6 +11,9 @@ from hypothesis import strategies as st
 from lindsim import norms
 from lindsim.cli import main
 from lindsim.formulas import Implementation, Method
+from lindsim.lindblad import exact_channel, term_superop
+from lindsim.linalg import devectorize, mat_exp, trace_distance, vectorize
+from lindsim.models import builtin_model
 from lindsim.sdp import SdpConvergenceError
 
 CONFIG = """
@@ -263,6 +267,36 @@ def test_validate_subcommand(capsys):
     assert "PASS" in out and "identities/" in out
 
 
+def test_validate_writes_one_csv_row_per_check(tmp_path, capsys):
+    path = tmp_path / "report.csv"
+    assert main(["validate", "identities", "--csv", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    checks = [line.split()[1] for line in out if line.startswith(("PASS", "FAIL"))]
+    assert out[-1] == f"wrote {path}"
+    rows = path.read_text(encoding="utf-8").splitlines()
+    assert rows[0] == "suite,check,passed,detail"
+    assert [f"{suite}/{check}" for suite, check, *_ in (r.split(",") for r in rows[1:])] == checks
+    assert checks == ["identities/power_difference_contraction", "identities/restricted_sum_identity"]
+    assert all(r.split(",")[2] == "1" for r in rows[1:])
+
+
+def test_validate_names_a_method_without_an_order_fit(monkeypatch, capsys):
+    import lindsim.harness as harness
+
+    real = harness.run_sweep
+
+    def two_s2_ran_points(spec):
+        return [r for r in real(spec) if not (r.method == Method.S2_RAN and r.n > 8)]
+
+    monkeypatch.setattr(harness, "run_sweep", two_s2_ran_points)
+    assert main(["validate", "bounds"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    line = next(l for l in captured.out.splitlines() if "bounds/convergence_orders" in l)
+    assert line.startswith("FAIL  bounds/convergence_orders")
+    assert re.search(r"  qdrift:\S+ s1_det:\S+ s1_ran:\S+ s2_det:\S+ s2_ran:no fit$", line)
+
+
 def test_validate_unknown_suite(capsys):
     assert main(["validate", "imaginary"]) == 2
     assert "unknown suite" in capsys.readouterr().err
@@ -275,6 +309,28 @@ def test_sweep_command(config_path, tmp_path, capsys):
     assert (tmp_path / "out" / "sweep.csv").exists()
     # amp_damp's terms commute: s1_det's errors are rounding, below the certificate floor
     assert "order qdrift" in out and "order s1_det" not in out
+
+
+def test_sweep_from_the_mixed_state(tmp_path, capsys):
+    path = tmp_path / "mixed.ini"
+    path.write_text(
+        "[experiment]\nmodel = random d=2 m=3 seed=7\nmethods = s1_det\nt = 1.0\n"
+        f"n_grid = 4 8 16\nseed = 3\ninitial_state = mixed\noutputs = {tmp_path / 'out'}\n")
+    assert main(["sweep", str(path)]) == 0
+    capsys.readouterr()
+    header, *rows = (tmp_path / "out" / "sweep.csv").read_text(encoding="utf-8").splitlines()
+    row = dict(zip(header.split(","), rows[1].split(",")))
+    assert (row["method"], row["n"]) == ("s1_det", "8")
+    # by hand: eight first-order steps of dt = 1/8 on I/2, term by term
+    gen = builtin_model("random", dict(d=2, m=3, seed=7))
+    rho = np.eye(2, dtype=complex) / 2
+    steps = [mat_exp(term_superop(gen, k) / 8) for k in (1, 2, 3)]
+    for _ in range(8):
+        for step in steps:
+            rho = devectorize(step @ vectorize(rho))
+    exact = devectorize(exact_channel(gen, 1.0) @ vectorize(np.eye(2, dtype=complex) / 2))
+    assert float(row["trace_dist"]) == pytest.approx(trace_distance(exact, rho), rel=1e-9)
+    assert float(row["trace_dist"]) > 1e-6
 
 
 def test_simulate_command(config_path, capsys):

@@ -120,6 +120,25 @@ def test_layout_cap():
         ForkLayout(control_dim=4, system_dim=3, n_ancillas=3)
 
 
+def test_layout_rejects_an_empty_register():
+    with pytest.raises(ValueError, match="register dimensions must be positive"):
+        ForkLayout(control_dim=0, system_dim=2, n_ancillas=1)
+
+
+def test_forks_reject_a_state_of_the_wrong_shape():
+    gen = builtin_model("amp_damp")
+    with pytest.raises(ValueError, match=r"system state has shape \(3, 3\), expected \(2, 2\)"):
+        fork_s1_step(gen, 0.1, np.eye(3) / 3, PHIS[0])
+    with pytest.raises(ValueError, match=r"work state has shape \(1, 1\)"):
+        fork_qdrift_step(gen, 0.1, RHO0, np.eye(1))
+
+
+@pytest.mark.parametrize("fork_run", [fork_s1_run, fork_qdrift_run])
+def test_fork_runs_reject_zero_steps(fork_run):
+    with pytest.raises(ValueError, match="step count must be a positive integer"):
+        fork_run(builtin_model("amp_damp"), 1.0, 0, RHO0, PHIS[0])
+
+
 def test_cswap_control_off_does_nothing():
     layout = ForkLayout(control_dim=2, system_dim=2, n_ancillas=1)
     chan = cswap_channel(layout, control_value=1, target_a=1, target_b=2)

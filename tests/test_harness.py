@@ -11,6 +11,7 @@ from lindsim.harness import (
     batch_standard_error,
     fit_order,
     load_experiment,
+    log_slope,
     resolve_model,
     run_sweep,
     sweep_point_channel,
@@ -18,6 +19,7 @@ from lindsim.harness import (
     trajectory_batches,
     write_sweep,
 )
+from lindsim.tolerances import TOL
 from lindsim.validation import validate_all
 
 CONFIG = """
@@ -53,6 +55,13 @@ def test_spec_validation():
     with pytest.raises(ConfigError, match="initial_state"):
         ExperimentSpec(model="amp_damp", methods=(Method.S1_DET,), t=1.0,
                        n_grid=(4,), seed=0, initial_state="plasma")
+    for t in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="^t must be positive and finite$"):
+            ExperimentSpec(model="amp_damp", methods=(Method.S1_DET,), t=t, n_grid=(4,), seed=0)
+    for eps in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="^epsilon_grid values must be positive and finite$"):
+            ExperimentSpec(model="amp_damp", methods=(Method.S1_DET,), t=1.0,
+                           epsilon_grid=(0.1, eps), seed=0)
 
 
 def test_load_experiment_and_model(spec):
@@ -73,6 +82,17 @@ def test_load_experiment_errors(tmp_path):
         load_experiment(path)
     with pytest.raises(ConfigError, match="cannot read"):
         load_experiment(tmp_path / "absent.ini")
+    for text, message in (
+            ("[other]\nmodel = amp_damp\n", r"must contain an \[experiment\] section"),
+            ("[experiment]\nmodel =\nmethods = s1_det\nt = 1\nn_grid = 4\nseed = 0\n",
+             "model field is empty"),
+            ("[experiment]\nmodel = file\nmethods = s1_det\nt = 1\nn_grid = 4\nseed = 0\n",
+             "model file form is"),
+            ("[experiment]\nmodel = amp_damp gamma\nmethods = s1_det\nt = 1\nn_grid = 4\nseed = 0\n",
+             "model parameter 'gamma' is not key=value")):
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=message):
+            resolve_model(load_experiment(path))
 
 
 def test_model_from_generator_file(tmp_path):
@@ -349,15 +369,32 @@ def test_fit_order_exact_synthetic():
     assert slopes[Method.S2_DET] == pytest.approx(-2.0, abs=1e-9)
 
 
+def _fit_record(method, n, eps):
+    return SweepRecord(method=method, n=n, epsilon_bound=1.0, epsilon_empirical=eps,
+                       trace_dist=0.0, gates_cs=1, gates_qf=None, status="ok", wall_time_ms=0)
+
+
 def test_fit_order_needs_three_points():
-    records = [
-        SweepRecord(method=Method.S1_DET, n=n, epsilon_bound=1.0,
-                    epsilon_empirical=1.0 / n, trace_dist=0.0, gates_cs=1,
-                    gates_qf=None, status="ok", wall_time_ms=0)
-        for n in (4, 8)
-    ]
-    with pytest.raises(ValueError, match="at least 3"):
-        fit_order(records)
+    records = [_fit_record(Method.S1_DET, n, 1.0 / n) for n in (4, 8)]
+    assert fit_order(records) == {}
+
+
+def test_fit_order_keys_follow_the_records_and_leave_out_short_methods():
+    records = [_fit_record(Method.QDRIFT, n, 3.0 / n) for n in (4, 8, 16)]
+    records += [_fit_record(Method.S1_DET, n, 1.0 / n) for n in (4, 8)]  # two points
+    records += [_fit_record(Method.S1_DET, 16, TOL.sdp_gap_tol)]  # rounding, not a fit point
+    records += [_fit_record(Method.S2_DET, n, 2.0 / n**2) for n in (32, 16, 8)]
+    records += [_fit_record(Method.S1_RAN, n, 1.0 / n**2) for n in (4, 8, 16)]
+    records[-1].status = "error: s1_ran N=16: failed"
+    slopes = fit_order(records)
+    assert list(slopes) == [Method.QDRIFT, Method.S2_DET]
+    assert slopes[Method.QDRIFT] == pytest.approx(-1.0, abs=1e-12)
+    assert slopes[Method.S2_DET] == pytest.approx(-2.0, abs=1e-12)
+
+
+def test_log_slope_matches_a_least_squares_fit():
+    xs, ys = np.array([0.2, 0.1, 0.05, 0.025]), np.array([3.1e-2, 8.4e-3, 2.0e-3, 5.9e-4])
+    assert log_slope(xs, ys) == pytest.approx(np.polyfit(np.log(xs), np.log(ys), 1)[0], rel=1e-12)
 
 
 def test_table1_report_worked_example():

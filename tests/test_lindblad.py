@@ -244,6 +244,16 @@ def test_parse_generator_round_trip():
         ("hamiltonian 0,0 0,0 0,0 0,0\n", "line 1: dim must come before"),
         ("dim 2\nhamiltonian 0,0 0,0 0,0 0,0\njump\nmatrix 0,0 1,0 0,0 0,0\nrate 1\n",
          "never closed"),
+        ("dim 1.5\n", "line 1: dim '1.5' is not an integer"),
+        ("dim 0\n", "line 1: dim must be positive"),
+        ("dim 2\njump\njump\n", "line 3: nested jump block"),
+        ("dim 2\nmatrix 0,0 1,0 0,0 0,0\n", "line 2: matrix outside a jump block"),
+        ("dim 2\nrate 1\n", "line 2: rate outside a jump block"),
+        ("dim 2\nend\n", "line 2: end outside a jump block"),
+        ("dim 2\njump\nrate fast\n", "line 3: rate 'fast' is not a number"),
+        ("dim 2\njump\nrate 1\nend\n", "line 4: jump block opened at line 2 has no matrix"),
+        ("# no directives\n", "missing 'dim' directive"),
+        ("dim 2\n", "missing 'hamiltonian' directive"),
     ],
 )
 def test_parse_generator_positional_errors(text, message):

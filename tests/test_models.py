@@ -47,3 +47,5 @@ def test_unknown_model_and_bad_params():
         builtin_model("nope")
     with pytest.raises(ValueError, match="invalid parameters"):
         builtin_model("amp_damp", dict(nonsense=1))
+    with pytest.raises(ValueError, match="d >= 2"):
+        builtin_model("random", dict(d=1))

@@ -428,6 +428,14 @@ def test_generator_stats_failure_names_term_and_dimension(monkeypatch):
     assert (err.value.gap, err.value.iterations, err.value.primal_residual) == (2e-5, 37, 4e-8)
 
 
+def test_term_stats_re_raises_a_failure_that_is_not_the_solver_s():
+    gen = builtin_model("amp_damp")
+    failure = np.linalg.LinAlgError("Choi matrix is not finite")
+    with pytest.raises(np.linalg.LinAlgError) as err:
+        term_stats(gen, [SimpleNamespace(value=1.0), failure])
+    assert err.value is failure
+
+
 # ---------------------------------------------------------------------------
 # batched certification against the HKM reference
 # ---------------------------------------------------------------------------

@@ -175,6 +175,10 @@ def test_gateset_validation():
         _draw(Method.S1_RAN, builtin_model("amp_damp"), 1.0, 0, 0, range(1))
     with pytest.raises(ValueError, match="sampled methods"):
         _draw(Method.S1_DET, builtin_model("amp_damp"), 1.0, 4, 0, range(1))
+    with pytest.raises(ValueError, match="need at least one trajectory"):
+        mixture_estimate(Method.QDRIFT, builtin_model("amp_damp"), 1.0, 4, 0, 0)
+    with pytest.raises(ValueError, match="simulation time must be positive"):
+        trajectory_channels(Method.S1_RAN, builtin_model("amp_damp"), 0.0, 4, 0, range(1))
 
 
 SAMPLED = (Method.S1_RAN, Method.S2_RAN, Method.QDRIFT)
