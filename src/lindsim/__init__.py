@@ -8,7 +8,7 @@ is set before numpy loads, so it has no effect if numpy was imported first.
 That default is all ``import lindsim`` does.  Each public name, and each
 submodule (``lindsim.sdp``), loads on first use (PEP 562), so a caller pays
 only for the modules it touches: the set-up path ``builtin_model``,
-``generator_stats``, ``exact_channel`` loads six of the twelve.
+``generator_stats``, ``exact_channel`` loads six of the thirteen.
 """
 
 import importlib

@@ -20,7 +20,7 @@ from .formulas import GATE_COMPLEXITY, METHODS, Implementation, Method, error_bo
 from .lindblad import GkslGenerator, exact_channel, is_cptp, load_generator
 from .linalg import DensityMatrix, devectorize, trace_distance, vectorize
 from .models import builtin_model
-from .norms import GeneratorStats, diamond_norm_solutions, generator_stats
+from .norms import GeneratorStats, diamond_norm_solutions, generator_stats, term_maps, term_stats
 from .sampling import trajectory_sum
 from .tolerances import TOL
 
@@ -264,13 +264,17 @@ def run_sweep(spec: ExperimentSpec) -> list:
     writes them out.
 
     The channels of all points come first; then the errors of all points,
-    and of every sampled point's batch means, are certified in one batch.  A
-    point whose maps do not all certify becomes an error record.  A point's
+    and of every sampled point's batch means, are certified in one call,
+    behind the generator's ``term_maps`` on an n grid: the bounds read the
+    statistics of that call.  An epsilon grid takes its step counts from the
+    bounds, so its statistics are certified first, by ``generator_stats``.
+    A term that does not certify raises; a point whose maps do not all
+    certify, or whose bound overflows, becomes an error record.  A point's
     ``wall_time_ms`` is its own channel time plus its maps' share of that
-    batch's solve time.
+    call's solve time.
     """
     gen = resolve_model(spec)
-    stats = generator_stats(gen)
+    stats = generator_stats(gen) if spec.epsilon_grid else None
     t_exact = exact_channel(gen, spec.t)
     rho0 = initial_state(spec, gen.dim)
     rho_t = devectorize(t_exact @ vectorize(rho0.matrix))
@@ -281,14 +285,13 @@ def run_sweep(spec: ExperimentSpec) -> list:
     for method, n in points:
         start = time.perf_counter()
         try:
-            bound = error_bound(method, stats, spec.t, n, conservative=spec.conservative)
             total, batch_errors = sweep_point_channel(spec, gen, method, n, t_exact)
             rho_approx = devectorize(total @ vectorize(rho0.matrix))
             record = SweepRecord(
-                method=method, n=n, epsilon_bound=bound, epsilon_empirical=float("nan"),
+                method=method, n=n, epsilon_bound=float("nan"), epsilon_empirical=float("nan"),
                 trace_dist=trace_distance(rho_t, rho_approx),
-                gates_cs=gate_count(method, stats.term_count, n, Implementation.CS),
-                gates_qf=(gate_count(method, stats.term_count, n, Implementation.QF)
+                gates_cs=gate_count(method, gen.m_total, n, Implementation.CS),
+                gates_qf=(gate_count(method, gen.m_total, n, Implementation.QF)
                           if METHODS[method].gates_qf else None),
                 status="ok", wall_time_ms=0, cptp=bool(is_cptp(total)))
             point_maps.append((len(records), [t_exact - total, *(batch_errors or ())]))
@@ -297,14 +300,20 @@ def run_sweep(spec: ExperimentSpec) -> list:
         records.append(record)
         seconds.append(time.perf_counter() - start)
 
-    maps = [m for _, point in point_maps for m in point]
+    maps = ([] if stats else term_maps(gen)) + [m for _, point in point_maps for m in point]
     start = time.perf_counter()
     solved = iter(diamond_norm_solutions(maps))
+    stats = stats or term_stats(gen, solved)
     share = (time.perf_counter() - start) / max(1, len(maps))
     for i, point in point_maps:
         sols = [next(solved) for _ in point]
         seconds[i] += share * len(point)
         failed = [sol for sol in sols if isinstance(sol, Exception)]
+        try:
+            records[i].epsilon_bound = error_bound(records[i].method, stats, spec.t, records[i].n,
+                                                   conservative=spec.conservative)
+        except OverflowError as exc:  # bad input, named before any solver failure
+            failed.insert(0, exc)
         if failed:
             records[i] = _error_record(records[i].method, records[i].n, failed[0])
         else:

@@ -28,9 +28,11 @@ per-block operation is thus one numpy call, whatever the block sizes.
 ``solve_diamond`` solves a stack of problems of one d in lockstep, so numpy's
 per-call overhead is paid once per batch.  Each problem keeps its own
 stopping tests and leaves the batch when it converges or fails; a failure
-becomes that problem's ``SdpConvergenceError`` only.  The batches of one call
-are shared out over every CPU the process may use, in forked workers
-(``workers.py``).
+becomes that problem's ``SdpConvergenceError`` only.  A call whose problems
+do not fit one batch's workspace budget, ``_BATCH_BYTES``, is shared out
+over every CPU the process may use, in forked workers (``workers.py``), and
+each worker solves its share in as few batches as the budget allows: one,
+wherever it fits (up to 16 problems at d = 3).
 """
 
 from __future__ import annotations
@@ -87,13 +89,18 @@ class SdpSolution:
     dual_residual: float
 
 
-# Byte budget of one lockstep batch's Schur workspace (in each worker process,
-# which solves one batch at a time): the Schur complements,
-# their factors and the gathered products that build them, measured at about
-# four real m x m arrays per problem (m = d^4 + d^2).  That makes a batch of
-# every problem at d = 2, 4 at d = 3 and 1 at d >= 4, where a solve is
-# arithmetic-bound and batching saves nothing.
-_BATCH_BYTES = 1 << 20
+# Byte budget of one lockstep batch's workspace in each process (a worker
+# solves its batches one at a time).  Per problem the workspace peaks either
+# while the Schur complement is factored, holding it and its Cholesky factor
+# (two real m x m arrays, m = d^4 + d^2) and the iterates, measured at 2.5
+# m x m arrays; or in the Newton steps, holding the factor and about 22
+# complex stacks of the iterates' size (3 side^2), which is the larger at
+# d = 2.  The complement is dropped once it is factored, and the gathers
+# that build it are held for _GATHER problems at a time, about a quarter MiB
+# at d = 3 on top of the budget.  That makes a batch of 130 problems at
+# d = 2, 16 at d = 3 and 1 at d >= 4, where a solve is arithmetic-bound and
+# batching saves nothing.
+_BATCH_BYTES = 5 << 19
 
 # After this many iterations with the gap and mu within tolerance but the
 # primal residual above feas_tol and not halving, the solve has stalled: more
@@ -103,13 +110,15 @@ _BATCH_BYTES = 1 << 20
 _STALL_ITERS = 10
 
 _STEP_FRACTION = 0.98  # of the way to the boundary of the cone
-_LEAF = 64  # triangular blocks up to this side are solved directly
+_LEAF = 32  # triangular blocks up to this side are solved directly
+_GATHER = 4  # problems whose equality-row gathers are held at once
 _SQRT2 = np.sqrt(2.0)
 
 
 def batch_size(d: int) -> int:
-    """Problems of dimension d solved in one lockstep batch."""
-    return max(1, _BATCH_BYTES // (32 * (d**4 + d**2) ** 2))
+    """Problems of dimension d whose workspace fits in ``_BATCH_BYTES``: one lockstep batch."""
+    m, side = d**4 + d**2, max(d * d, d + 1)
+    return max(1, _BATCH_BYTES // max(20 * m * m, 8 * m * m + 22 * 48 * side * side))
 
 
 def _frozen(build):
@@ -226,6 +235,8 @@ def _apply_at(y: np.ndarray, d: int) -> np.ndarray:
     out[:, 2, :d, :d] = z
     out[:, 2, d, d] = -np.trace(z, axis1=1, axis2=2)
     return out
+
+
 def _schur(w) -> np.ndarray:
     """Schur complements M_ij = sum_b Re tr(A_i W_b A_j W_b) of a batch."""
     w_pq, w_h, w_mu = w
@@ -242,13 +253,16 @@ def _schur(w) -> np.ndarray:
     r = np.einsum("bqik,bqik->bik", w_pq[..., :, iu], w_conj[..., :, ju])
     schur[:, dg, re], schur[:, dg, im] = _SQRT2 * r.real, -_SQRT2 * r.imag
     schur[:, re, dg], schur[:, im, dg] = schur[:, dg, re].swapaxes(1, 2), schur[:, dg, im].swapaxes(1, 2)
-    x1 = x2 = 0.0
-    for q in range(2):  # P, then Q: one block's gathers at a time
-        x1 = x1 + w_pq[:, q, iu[:, None], iu] * w_conj[:, q, ju[:, None], ju]
-        guv = w_pq[:, q, iu[:, None], ju]
-        x2 = x2 + guv * guv.swapaxes(1, 2)
-    schur[:, re, re], schur[:, re, im] = x1.real + x2.real, x2.imag - x1.imag
-    schur[:, im, re], schur[:, im, im] = x1.imag + x2.imag, x1.real - x2.real
+    for lo in range(0, len(w_pq), _GATHER):  # a few problems' gathers at a time
+        part = slice(lo, lo + _GATHER)
+        x1 = x2 = 0.0
+        for q in range(2):  # P, then Q
+            wq, cq = w_pq[part, q], w_conj[part, q]
+            x1 = x1 + wq[:, iu[:, None], iu] * cq[:, ju[:, None], ju]
+            guv = wq[:, iu[:, None], ju]
+            x2 = x2 + guv * guv.swapaxes(1, 2)
+        schur[part, re, re], schur[part, re, im] = x1.real + x2.real, x2.imag - x1.imag
+        schur[part, im, re], schur[part, im, im] = x1.imag + x2.imag, x1.real - x2.real
     del x1, x2, guv
 
     # slack rows: the lifted basis b (x) I through each block
@@ -364,8 +378,8 @@ def _iterate(st: dict):
     g, gi, dv = _nt_scaling(x, s, d)
     w = g @ _dag(g)
     n = d * d
-    schur = _schur((w[:, :2, :n, :n], w[:, 2, :d, :d], w[:, 2, d:d + 1, d:d + 1]))
-    low = _cholesky(schur, _jittered)  # once, for both Newton solves
+    # factored once, for both Newton solves; the Schur complement is dropped
+    low = _cholesky(_schur((w[:, :2, :n, :n], w[:, 2, :d, :d], w[:, 2, d:d + 1, d:d + 1])), _jittered)
     w_rd_w = w @ rd @ w
 
     def newton(rc):
@@ -493,11 +507,13 @@ def solve_diamond(chois, *, feas_tol: float = 1e-9, max_iters: int = TOL.sdp_max
     s: the accepted gap at J's scale is at most a tenth of
     ``TOL.sdp_gap_tol``, and at most 1e-9 for ||J||_F <= 1.
 
-    The problems run in lockstep batches of ``batch_size(d)``; with more
-    than one batch, ``workers.solve_shared`` shares them out over worker
-    processes.  A problem's result does not depend on its batch-mates, so it
-    is the same to the bit for any number of workers.  Returns, in order,
-    each problem's ``SdpSolution`` or ``SdpConvergenceError``.
+    The problems run in lockstep batches of at most ``batch_size(d)``;
+    with more than one batch, ``workers.solve_shared`` shares them out over
+    worker processes.  A worker's share runs in the fewest batches that fit,
+    whose sizes differ by at most one.  A problem's result does not depend
+    on its batch-mates, so it is the same to the bit for any number of
+    workers.  Returns, in order, each problem's ``SdpSolution`` or
+    ``SdpConvergenceError``.
     """
     chois = np.asarray(chois, dtype=complex)
     size = batch_size(int(round(np.sqrt(chois.shape[-1]))))
@@ -505,10 +521,11 @@ def solve_diamond(chois, *, feas_tol: float = 1e-9, max_iters: int = TOL.sdp_max
         norms = np.array([float(np.linalg.norm(j)) for j in chois])
         scales = np.where(np.isfinite(norms) & (norms > 0), norms, 1.0)
 
-        def solve(lo, hi):
-            batches = [slice(b, min(b + size, hi)) for b in range(lo, hi, size)]
-            return [sol for sl in batches
-                    for sol in _lockstep(chois[sl], scales[sl], feas_tol, max_iters)]
+        def solve(lo, hi):  # in the fewest batches, whose sizes differ by at most one
+            count = -(-(hi - lo) // size)
+            ends = [lo + (hi - lo) * k // count for k in range(1, count + 1)]
+            return [sol for a, b in zip([lo] + ends, ends)
+                    for sol in _lockstep(chois[a:b], scales[a:b], feas_tol, max_iters)]
 
         if len(chois) <= size:  # one batch: nothing to share out
             return solve(0, len(chois))

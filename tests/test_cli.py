@@ -226,8 +226,9 @@ def test_s2_ran_table_beyond_memory_is_bad_input(command, tmp_path):
 
 
 def test_memory_error_in_a_solver_worker_is_bad_input(tmp_path, monkeypatch):
-    # six d = 3 point maps are two lockstep batches; with two CPUs the second
-    # is solved by a forked child, whose MemoryError the sweep reports
+    # three d = 3 term maps and fourteen point maps are two lockstep batches;
+    # with two CPUs the second is solved by a forked child, whose MemoryError
+    # the sweep reports
     import os
 
     from lindsim import sdp
@@ -243,7 +244,7 @@ def test_memory_error_in_a_solver_worker_is_bad_input(tmp_path, monkeypatch):
     monkeypatch.setattr(sdp, "_lockstep", lockstep)
     path = tmp_path / "d3.ini"
     path.write_text("[experiment]\nmodel = random d=3 m=3 seed=5\nmethods = s1_det s2_det\n"
-                    f"t = 1.0\nn_grid = 4 8 16\nseed = 1\noutputs = {tmp_path / 'out'}\n")
+                    f"t = 1.0\nn_grid = 4 8 16 32 64 128 256\nseed = 1\noutputs = {tmp_path / 'out'}\n")
     code, _, err = run_cli(["sweep", str(path)])
     assert code == 2 and err == "error: input too large (no room for the Schur complement)\n"
     with pytest.raises(ChildProcessError):
@@ -358,21 +359,54 @@ def test_solver_failure_exits_1(config_path, monkeypatch, capsys):
 
 
 def test_sweep_with_an_unsolved_point_exits_1(config_path, monkeypatch, capsys):
-    # generator_stats certifies; the sweep's one batch of points fails
+    # the sweep's one call: amp_damp's two term maps certify, every point fails
     real = norms.solve_diamond
     calls = []
 
     def failing_points(chois, **kwargs):
         calls.append(len(chois))
-        if len(calls) == 1:
-            return real(chois, **kwargs)
-        return [SdpConvergenceError("interior-point step collapsed", 3e-4) for _ in chois]
+        return real(chois[:2], **kwargs) + [SdpConvergenceError("interior-point step collapsed", 3e-4)
+                                            for _ in chois[2:]]
 
     monkeypatch.setattr(norms, "solve_diamond", failing_points)
     assert main(["sweep", config_path]) == 1
+    assert calls == [2 + 6]
     err = capsys.readouterr().err
     assert err.startswith("error: solver failed: s1_det N=4: interior-point step collapsed")
     assert err.count("\n") == 1 and "(6 of 6 points failed)" in err
+
+
+def test_sweep_with_an_unsolved_term_exits_1_and_names_it(config_path, monkeypatch, capsys):
+    # the term maps lead the sweep's one call; amp_damp's second one fails
+    real = norms.solve_diamond
+
+    def failing_term(chois, **kwargs):
+        solved = real(chois, **kwargs)
+        solved[1] = SdpConvergenceError("interior-point step collapsed", 3e-4, 12)
+        return solved
+
+    monkeypatch.setattr(norms, "solve_diamond", failing_term)
+    assert main(["sweep", config_path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: solver failed: diamond norm of term 2 of a d=2 generator: "
+                                   "interior-point step collapsed (duality gap 3.000e-04, 12 iterations")
+
+
+def test_sweep_with_an_overflowing_bound_exits_2(tmp_path, capsys):
+    # at gamma = 1e103 the s1_det bounds are finite and the s2_det bounds
+    # overflow: each s2_det point is its own error record, and the s1_det
+    # points certify
+    path = tmp_path / "exp.ini"
+    path.write_text(CONFIG.format(out=tmp_path / "out").replace("gamma=1.0", "gamma=1e103")
+                    .replace("s1_det qdrift", "s1_det s2_det").replace("4 8 16", "4 8"))
+    assert main(["sweep", str(path)]) == 2
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert "bound=4.000e+206" in lines[0] and lines[0].endswith("[ok]") and lines[1].endswith("[ok]")
+    assert lines[2].endswith("[error: s2_det N=4: s2_det error bound at N=4 is not finite]")
+    assert lines[3].endswith("[error: s2_det N=8: s2_det error bound at N=8 is not finite]")
+    assert captured.err == "error: s2_det N=4: s2_det error bound at N=4 is not finite (2 of 4 points failed)\n"
 
 
 @pytest.mark.parametrize("suite, named", [("forking", "term 1 of a d=2 generator"),
@@ -465,8 +499,8 @@ def test_simulate_certifies_every_batch_mean_in_one_batch(tmp_path, capsys, monk
     path.write_text(SAMPLED_CONFIG.replace("methods = qdrift", "methods = s1_ran s2_ran qdrift")
                     .format(seed=5, out=tmp_path / "out"))
     assert main(["simulate", str(path)]) == 0
-    # generator_stats, then every method's own error and batch means
-    assert batches == [3, 3 * (1 + 8)]
+    # one call: the three term maps, then every method's own error and batch means
+    assert batches == [3 + 3 * (1 + 8)]
     lines = [l for l in capsys.readouterr().out.splitlines() if "sampled R=40 stat_err=" in l]
     assert [l.split()[0] for l in lines] == ["s1_ran", "s2_ran", "qdrift"]
     assert all(float(l.split("stat_err=")[1].split()[0]) > 0 for l in lines)

@@ -246,8 +246,8 @@ def test_sampled_sweep_multiplies_out_one_chunk_at_a_time(monkeypatch):
 
 
 def test_sampled_sweep_certifies_batch_means_with_the_points(monkeypatch):
-    # generator_stats is one batch; every point's error and its 8 batch-mean
-    # errors are the other; stat_err comes from those certificates
+    # one call: the term maps, then every point's error and its 8 batch-mean
+    # errors; stat_err comes from those certificates
     import lindsim.norms as norms
     from lindsim.lindblad import exact_channel
     from lindsim.norms import certified, diamond_norm_solutions
@@ -259,7 +259,7 @@ def test_sampled_sweep_certifies_batch_means_with_the_points(monkeypatch):
     monkeypatch.setattr(norms, "solve_diamond",
                         lambda chois, *a, **k: batches.append(len(chois)) or real(chois, *a, **k))
     records = run_sweep(spec)
-    assert batches == [3, 4 * 9]
+    assert batches == [3 + 4 * 9]
     gen = resolve_model(spec)
     t_exact = exact_channel(gen, 1.0)
     for r in records:
@@ -285,8 +285,8 @@ def test_failed_batch_mean_solve_fails_only_its_point(monkeypatch):
 
     def failing(maps):
         solved = real(maps)
-        assert len(maps) == 3 * 9  # per point: its error, then its 8 batch means
-        solved[9 + 4] = SdpConvergenceError("forced failure", 1.0, 7)
+        assert len(maps) == 3 + 3 * 9  # the term maps; per point: its error, then its 8 batch means
+        solved[3 + 9 + 4] = SdpConvergenceError("forced failure", 1.0, 7)
         return solved
 
     monkeypatch.setattr(harness, "diamond_norm_solutions", failing)
@@ -330,6 +330,45 @@ def test_run_sweep_records_failures_and_continues(tmp_path):
     assert by_method[Method.S1_DET].status == "ok"
 
 
+@pytest.mark.parametrize("model", ["random d=2 m=3 seed=7", "random d=3 m=3 seed=5"])
+def test_folded_bounds_equal_those_of_generator_stats(model):
+    # an n-grid sweep reads its statistics from the term maps it certifies
+    # with its points; every bound is the one generator_stats gives, to the bit
+    from lindsim.formulas import error_bound
+    from lindsim.norms import generator_stats
+
+    spec = ExperimentSpec(model=model, methods=(Method.S1_DET, Method.S2_RAN, Method.QDRIFT),
+                          t=1.0, n_grid=(4, 16), seed=0)
+    stats = generator_stats(resolve_model(spec))
+    records = run_sweep(spec)
+    assert all(r.status == "ok" for r in records)
+    assert [r.epsilon_bound for r in records] == [error_bound(r.method, stats, spec.t, r.n)
+                                                  for r in records]
+
+
+def test_epsilon_grid_sweep_certifies_its_statistics_first(monkeypatch):
+    # an epsilon grid's N come from the bounds: generator_stats is its own
+    # call, before the points' call, and the N are those of its statistics
+    import lindsim.norms as norms
+    from lindsim.formulas import error_bound
+    from lindsim.harness import point_steps
+
+    spec = ExperimentSpec(model="random d=2 m=3 seed=7", methods=(Method.S1_DET, Method.S2_DET),
+                          t=1.0, epsilon_grid=(0.1, 0.03), seed=0)
+    stats = norms.generator_stats(resolve_model(spec))
+    real = norms.solve_diamond
+    batches = []
+    monkeypatch.setattr(norms, "solve_diamond",
+                        lambda chois, *a, **k: batches.append(len(chois)) or real(chois, *a, **k))
+    records = run_sweep(spec)
+    assert batches == [3, 4]
+    assert [r.n for r in records] == [point_steps(spec, stats, m, eps)
+                                      for m in spec.methods for eps in spec.epsilon_grid]
+    assert [r.n for r in records] == [590, 1964, 39, 71]
+    assert all(r.status == "ok" and r.epsilon_bound == error_bound(r.method, stats, spec.t, r.n)
+               for r in records)
+
+
 def test_failed_solve_is_recorded_and_its_batch_certifies(monkeypatch):
     # the points' errors are certified in one batch; a point whose solve
     # fails gets its own error and the other points keep their values
@@ -344,13 +383,13 @@ def test_failed_solve_is_recorded_and_its_batch_certifies(monkeypatch):
     def poisoning(chois, **kwargs):
         chois = np.array(chois)
         batches.append(len(chois))
-        if len(chois) == 6:  # the sweep's batch: poison s1_det at N = 8
-            chois[1, 0, 0] = np.nan
+        if len(chois) == 3 + 6:  # the sweep's call: poison s1_det at N = 8, after the terms
+            chois[3 + 1, 0, 0] = np.nan
         return real(chois, **kwargs)
 
     monkeypatch.setattr(norms, "solve_diamond", poisoning)
     records = run_sweep(spec)
-    assert batches == [3, 6]  # generator_stats, then every point at once
+    assert batches == [3 + 6]  # the term maps and every point at once
     assert records[1].status.startswith("error: s1_det N=8: linear algebra failure")
     assert np.isnan(records[1].epsilon_empirical)
     for i in (0, 2, 3, 4, 5):

@@ -543,9 +543,10 @@ def test_validate_certifies_its_plan_in_one_call(monkeypatch):
     calls = count_plan_calls(monkeypatch, "validation", "harness", "norms")
     report = validate_all(seed=0, suite="all")
     assert report.passed
-    # generator_stats and the point solves of each of the 3 bounds sweeps, then the plan:
-    # 23 norms maps, 80 identities maps, 8 forking term maps and 2 sampling maps
-    assert len(calls) == 7 and calls[-1] == 23 + 80 + 8 + 2
+    # the one call of each of the 3 bounds sweeps, its term maps and then its 5 x 5
+    # points, then the plan: 23 norms maps, 80 identities maps, 8 forking term maps
+    # and 2 sampling maps
+    assert calls == [2 + 25, 3 + 25, 3 + 25, 23 + 80 + 8 + 2]
     calls.clear()
     assert validate_all(seed=0, suite="forking").passed
     assert calls == [2 + 3 + 3]  # the term maps of amp_damp, qubit3 and random d=2 m=3

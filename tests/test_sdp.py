@@ -328,9 +328,10 @@ def test_iterates_stay_inside_their_blocks(monkeypatch):
 
 
 def test_lockstep_batches_follow_the_byte_budget(monkeypatch):
-    # one worker, so that every batch runs in this process, where it is recorded
-    assert nt.batch_size(2) >= 25 and 4 <= nt.batch_size(3) <= 8 and nt.batch_size(4) == 1
-    chois = np.concatenate([_unit_chois(_batch_maps())] * 2)
+    # one worker, so that every batch runs in this process, where it is recorded;
+    # twenty maps are more than one batch, so they run as two equal ones
+    assert nt.batch_size(2) >= 100 and 16 <= nt.batch_size(3) <= 19 and nt.batch_size(4) == 1
+    chois = np.concatenate([_unit_chois(_batch_maps())] * 5)
     sizes = []
     real = nt._lockstep
 
@@ -341,8 +342,47 @@ def test_lockstep_batches_follow_the_byte_budget(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     monkeypatch.setattr(nt, "_lockstep", recording)
     results = nt.solve_diamond(chois)
-    assert sizes == [nt.batch_size(3), len(chois) - nt.batch_size(3)]
+    assert sizes == [10, 10]
     assert all(isinstance(sol, nt.SdpSolution) and sol.gap <= 1e-9 for sol in results)
+
+
+def _sweep_chois():
+    """29 d = 3 maps, as many as a five-method, five-N sweep certifies in its one
+    call: its generator's 4 term maps, then 25 s2_det error maps."""
+    gen = builtin_model("random", dict(d=3, m=4, seed=11))
+    full = exact_channel(gen, 1.0)
+    maps = [term_superop(gen, k, with_rate=False) for k in range(1, gen.m_total + 1)]
+    maps += [full - np.linalg.matrix_power(s2_det(gen, 1.0 / n), n) for n in range(4, 29)]
+    return np.array([choi(s, 3) for s in maps])
+
+
+def test_each_workers_share_is_one_lockstep_batch(monkeypatch, tmp_path):
+    # two CPUs: two shares, each solved as one batch, one of them in a forked
+    # child, which records its batch in the same file
+    chois = _sweep_chois()
+    log = tmp_path / "batches.txt"
+    real = nt._lockstep
+
+    def recording(stack, *args):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{len(stack)}\n")
+        return real(stack, *args)
+
+    _cpus(monkeypatch, 1)
+    serial = nt.solve_diamond(chois)
+    monkeypatch.setattr(nt, "_lockstep", recording)
+    _cpus(monkeypatch, 2)
+    shared = nt.solve_diamond(chois)
+    assert sorted(int(line) for line in log.read_text(encoding="utf-8").split()) == [14, 15]
+    assert all(isinstance(sol, nt.SdpSolution) for sol in serial)
+    assert all(map(identical, serial, shared))
+    _assert_no_child_left()
+
+
+@pytest.fixture
+def three_per_batch(monkeypatch):
+    """Lockstep batches of at most three problems, so that _d3_chois is three batches."""
+    monkeypatch.setattr(nt, "batch_size", lambda d, real=nt.batch_size: min(3, real(d)))
 
 
 def _cpus(monkeypatch, count):
@@ -351,7 +391,7 @@ def _cpus(monkeypatch, count):
 
 
 def _d3_chois():
-    """Nine d = 3 maps at scales from 1e-3 to 2.4: three lockstep batches."""
+    """Nine d = 3 maps at scales from 1e-3 to 2.4: three lockstep batches of ``three_per_batch``."""
     chois = [choi(s, 3) for s in _batch_maps()]
     return np.array(chois + [0.01 * j for j in chois] + [1e-3 * chois[3]])
 
@@ -367,7 +407,7 @@ def _assert_no_child_left():
 
 
 @pytest.mark.parametrize("chois", [_d3_chois, _d4_chois])
-def test_workers_give_the_same_results_to_the_bit(monkeypatch, chois):
+def test_workers_give_the_same_results_to_the_bit(monkeypatch, three_per_batch, chois):
     chois = chois()
     batches = -(-len(chois) // nt.batch_size(int(round(np.sqrt(chois.shape[-1])))))
     assert batches == 3
@@ -381,7 +421,7 @@ def test_workers_give_the_same_results_to_the_bit(monkeypatch, chois):
     _assert_no_child_left()
 
 
-def test_failure_in_a_workers_share_stays_with_its_item(monkeypatch):
+def test_failure_in_a_workers_share_stays_with_its_item(monkeypatch, three_per_batch):
     _cpus(monkeypatch, 2)
     chois = _d3_chois()[:8]
     chois[5, 0, 0] = np.nan  # in the second share, solved by a forked child
@@ -405,7 +445,7 @@ def _in_children(monkeypatch, act):
     monkeypatch.setattr(nt, "_lockstep", lockstep)
 
 
-def test_share_of_a_child_without_a_result_is_solved_here(monkeypatch):
+def test_share_of_a_child_without_a_result_is_solved_here(monkeypatch, three_per_batch):
     chois = _d3_chois()
     _cpus(monkeypatch, 1)
     serial = nt.solve_diamond(chois)
@@ -415,7 +455,7 @@ def test_share_of_a_child_without_a_result_is_solved_here(monkeypatch):
     _assert_no_child_left()
 
 
-def test_share_that_cannot_be_forked_is_solved_here(monkeypatch):
+def test_share_that_cannot_be_forked_is_solved_here(monkeypatch, three_per_batch):
     chois = _d3_chois()
     _cpus(monkeypatch, 1)
     serial = nt.solve_diamond(chois)
@@ -434,7 +474,7 @@ def test_share_that_cannot_be_forked_is_solved_here(monkeypatch):
     _assert_no_child_left()
 
 
-def test_exception_in_a_child_reaches_the_caller(monkeypatch):
+def test_exception_in_a_child_reaches_the_caller(monkeypatch, three_per_batch):
     def refuse():
         raise MemoryError("no room for the Schur complement")
 
@@ -445,7 +485,7 @@ def test_exception_in_a_child_reaches_the_caller(monkeypatch):
     _assert_no_child_left()
 
 
-def test_no_child_outlives_an_exception_here(monkeypatch):
+def test_no_child_outlives_an_exception_here(monkeypatch, three_per_batch):
     # the children are still solving (or blocked on their pipes) when this
     # process's own share raises: they are killed and reaped
     parent, real = os.getpid(), nt._lockstep
@@ -528,7 +568,7 @@ def test_square_root_clips_only_the_singular_item():
     assert np.all(np.isfinite(low[1]))
 
 
-@pytest.mark.parametrize("n", [7, nt._LEAF + 1, 272])
+@pytest.mark.parametrize("n", [7, nt._LEAF + 1, 65, 272])
 def test_batched_factor_solve_matches_dense_solve(n):
     rng = np.random.default_rng(n)
     g = rng.normal(size=(3, n, n))

@@ -4,10 +4,11 @@ For every d and seed it builds a random generator and certifies three kinds
 of Hermiticity-preserving maps: every term superoperator with its rate,
 every term without it, and differences between the exact channel and the
 forward first-order product formula at two step lengths.  All maps of one d
-go through ``lindsim.norms.diamond_norm_solutions`` in one call (lockstep
-batches of ``lindsim.sdp.batch_size(d)``), twice: once with this process
-pinned to one CPU, so that one worker solves every batch, and once on every
-CPU it may use.  The two must give the same certificates to the bit.  Each
+go through ``lindsim.norms.diamond_norm_solutions`` in one call, twice: once
+with this process pinned to one CPU, so that one worker solves every
+lockstep batch, and once on every CPU it may use, where each worker's share
+is one batch if it fits ``lindsim.sdp.batch_size(d)`` problems.  The two
+must give the same certificates to the bit.  Each
 map is then solved alone by the generic HKM solver kept in
 ``tests/sdp_reference.py``, and each certified value is checked against
 ``lindsim.norms.diamond_bracket``.  The results (failures, bracket
