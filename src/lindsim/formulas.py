@@ -148,11 +148,10 @@ class S2Block:
 
 @dataclass(frozen=True)
 class TermExp:
-    k: int
-    with_rate: bool = True
+    k: int  # the rate-free term k, exp(dt * term_k)
 
     def channel(self, gen: GkslGenerator, dt: float) -> np.ndarray:
-        return constituent_channel(gen, self.k, dt, with_rate=self.with_rate)
+        return constituent_channel(gen, self.k, dt, with_rate=False)
 
 
 class Support(NamedTuple):
@@ -295,8 +294,7 @@ METHODS = {
         label="QDRIFT", order=1,
         bound=lambda s, t, n, c: (t * s.total_rate * s.max_bare_norm) ** 2 / n,
         growth=lambda s, t, n: t * s.total_rate * s.max_bare_norm / n,
-        support=lambda gen: Support(gen.rates, [TermExp(k + 1, with_rate=False)
-                                                for k in range(gen.m_total)]),
+        support=lambda gen: Support(gen.rates, [TermExp(k + 1) for k in range(gen.m_total)]),
         step_length=lambda gen, t, n: t * float(np.sum(gen.rates)) / n,
         gates_cs=lambda m: 1, gates_qf=lambda m: 3 * m - 2,
         complexity_cs="O((tΓΩ)²/ε)", complexity_qf="O((tΓΩ)²M/ε)", randomised=True),

@@ -175,12 +175,10 @@ def devectorize(v) -> np.ndarray:
 
 
 def trace_norm(a) -> float:
-    """Sum of singular values; eigenvalue route for Hermitian inputs."""
+    """Sum of singular values."""
     a = _as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise ValueError("trace norm defined here for square matrices only")
-    if is_hermitian(a, tol=1e-13):
-        return float(np.sum(np.abs(np.linalg.eigvalsh(a))))
     return float(np.sum(np.linalg.svd(a, compute_uv=False)))
 
 

@@ -9,9 +9,10 @@ with nonnegative decay rates gamma_k; k = 1 is always the Hamiltonian term
 with gamma_1 = 1 (generators with H = 0 keep a zero k = 1 term so the term
 count M matches the bound formulas).
 
-Superoperators are d^2 x d^2 matrices acting on column-stacked operators; the
-exact evolution exp(t * Liouvillian) built here is the reference oracle for
-every error measurement in the package.
+Superoperators are d^2 x d^2 matrices acting on column-stacked operators.  A
+generator builds its M rate-free term superoperators once, at construction,
+and every function here reads them.  The exact evolution exp(t * Liouvillian)
+built here is the reference oracle for every error measurement in the package.
 """
 
 from __future__ import annotations
@@ -39,33 +40,50 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GkslGenerator:
-    """Hamiltonian + (jump operator, rate) list defining a GKSL generator."""
+    """Hamiltonian + (jump operator, rate) list defining a GKSL generator.
+
+    Construction refuses non-finite or ill-shaped data, naming the term, and
+    builds the rate-free term superoperators once: ``superops`` is a read-only
+    (M, d^2, d^2) stack, and ``rates`` the read-only array of gamma_k.
+    """
 
     dim: int
     hamiltonian: np.ndarray
     terms: tuple  # of (jump_op: ndarray, rate: float)
+    superops: np.ndarray = field(init=False, repr=False, compare=False)
+    rates: np.ndarray = field(init=False, repr=False, compare=False)
     # term exponentials exp(dt * term_k) by (k, dt, with_rate), filled by
     # constituent_channel; sound because the operators above are read-only copies
     _term_exps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        d = self.dim
         h = np.array(self.hamiltonian, dtype=complex)
-        if h.shape != (self.dim, self.dim):
-            raise ValueError(f"Hamiltonian shape {h.shape} != ({self.dim}, {self.dim})")
+        if h.shape != (d, d):
+            raise ValueError(f"Hamiltonian shape {h.shape} != ({d}, {d})")
+        if not np.all(np.isfinite(h)):
+            raise ValueError("Hamiltonian has non-finite entries")
         if not is_hermitian(h):
             raise ValueError("Hamiltonian is not Hermitian within tolerance")
-        h.setflags(write=False)
-        checked = []
+        # vec(A X B) = kron(B.T, A) vec(X): -i[H, .], then each dissipator
+        eye = np.eye(d)
+        superops, checked = [-1j * (kron(eye, h) - kron(h.T, eye))], []
         for i, (op, rate) in enumerate(self.terms):
-            op = np.array(op, dtype=complex)
-            if op.shape != (self.dim, self.dim):
+            op, rate = np.array(op, dtype=complex), float(rate)
+            if op.shape != (d, d):
                 raise ValueError(f"jump operator {i} has shape {op.shape}")
-            rate = float(rate)
-            if rate < 0:
-                raise ValueError(f"jump operator {i} has negative rate {rate}")
+            if not np.all(np.isfinite(op)):
+                raise ValueError(f"jump operator {i} has non-finite entries")
+            if not 0 <= rate < np.inf:
+                raise ValueError(f"jump operator {i} has non-finite or negative rate {rate}")
+            ldl = dagger(op) @ op
+            superops.append(kron(op.conj(), op) - 0.5 * kron(eye, ldl) - 0.5 * kron(ldl.T, eye))
             op.setflags(write=False)
             checked.append((op, rate))
-        object.__setattr__(self, "hamiltonian", h)
+        rates = np.array([1.0] + [rate for _, rate in checked])
+        for name, value in (("hamiltonian", h), ("superops", np.array(superops)), ("rates", rates)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "terms", tuple(checked))
 
     @property
@@ -75,41 +93,24 @@ class GkslGenerator:
 
     def rate(self, k: int) -> float:
         """gamma_k; gamma_1 = 1 for the Hamiltonian term."""
-        if k == 1:
-            return 1.0
-        return self.terms[k - 2][1]
-
-    @property
-    def rates(self) -> np.ndarray:
-        return np.array([self.rate(k) for k in range(1, self.m_total + 1)])
+        return float(self.rates[k - 1])
 
 
 def term_superop(gen: GkslGenerator, k: int, with_rate: bool = True) -> np.ndarray:
     """Matrix of the k-th generator term on column-stacked operators.
 
     k = 1 gives -i[H, .]; k >= 2 gives the dissipator of L_k, multiplied by
-    gamma_k iff ``with_rate``.  Built from vec(A X B) = kron(B.T, A) vec(X).
+    gamma_k iff ``with_rate``; the rate-free matrix is the generator's, read-only.
     """
     if not 1 <= k <= gen.m_total:
         raise ValueError(f"term index {k} out of range 1..{gen.m_total}")
-    d = gen.dim
-    eye = np.eye(d)
-    if k == 1:
-        h = gen.hamiltonian
-        return -1j * (kron(eye, h) - kron(h.T, eye))
-    op, rate = gen.terms[k - 2]
-    ldl = dagger(op) @ op
-    s = kron(op.conj(), op) - 0.5 * kron(eye, ldl) - 0.5 * kron(ldl.T, eye)
-    return rate * s if with_rate else s
+    s = gen.superops[k - 1]
+    return gen.rates[k - 1] * s if with_rate else s
 
 
 def full_liouvillian(gen: GkslGenerator) -> np.ndarray:
-    """Sum of all rate-scaled term superoperators."""
-    d2 = gen.dim**2
-    total = np.zeros((d2, d2), dtype=complex)
-    for k in range(1, gen.m_total + 1):
-        total += term_superop(gen, k, with_rate=True)
-    return total
+    """Sum of all rate-scaled term superoperators, k = 1..M in turn."""
+    return np.sum(gen.rates[:, None, None] * gen.superops, axis=0)
 
 
 def exact_channel(gen: GkslGenerator, t: float) -> np.ndarray:
@@ -214,6 +215,8 @@ def _parse_complex_list(text: str, lineno: int, expected: int) -> np.ndarray:
             raise GeneratorFormatError(
                 f"line {lineno}: entry '{token}' has non-numeric components"
             ) from None
+        if not np.isfinite(entries[-1]):
+            raise GeneratorFormatError(f"line {lineno}: entry '{token}' is not finite")
     if len(entries) != expected:
         raise GeneratorFormatError(
             f"line {lineno}: expected {expected} entries, got {len(entries)}"
@@ -268,6 +271,8 @@ def parse_generator(text: str) -> GkslGenerator:
                 jump_rate = float(rest)
             except ValueError:
                 raise GeneratorFormatError(f"line {lineno}: rate '{rest}' is not a number") from None
+            if not np.isfinite(jump_rate):
+                raise GeneratorFormatError(f"line {lineno}: rate '{rest}' is not finite")
             if jump_rate < 0:
                 raise GeneratorFormatError(f"line {lineno}: negative rate {jump_rate}")
         elif key == "end":

@@ -24,7 +24,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .lindblad import GkslGenerator, choi, is_cptp, term_superop
+from .lindblad import GkslGenerator, choi, is_cptp
 from .linalg import dagger
 from .sdp import SdpConvergenceError, SdpSolution, solve_diamond
 from .tolerances import TOL
@@ -155,7 +155,7 @@ class GeneratorStats:
 def term_maps(gen: GkslGenerator) -> list:
     """The rate-free superoperators of a generator's terms k = 1..M, whose
     diamond norms ``term_stats`` reads."""
-    return [term_superop(gen, k, with_rate=False) for k in range(1, gen.m_total + 1)]
+    return list(gen.superops)
 
 
 def generator_stats(gen: GkslGenerator) -> GeneratorStats:

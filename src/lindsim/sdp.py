@@ -390,14 +390,13 @@ def _iterate(st: dict):
         # A(dX) = rp by more than refine_tol, kept where it misses by less
         miss = rp - _apply_a(dx, d)
         size = np.linalg.norm(miss, axis=1)
-        redo = np.flatnonzero(size > st["refine_tol"] * (1.0 + np.linalg.norm(st["v"], axis=1)))
-        if redo.size:
-            dy2 = dy[redo] + _solve(low[redo], miss[redo])
-            ds2 = rd[redo] - _apply_at(dy2, d)
-            dx2 = _sym(rc[redo] - w[redo] @ ds2 @ w[redo]) * live
-            keep = np.linalg.norm(rp[redo] - _apply_a(dx2, d), axis=1) < size[redo]
-            redo = redo[keep]
-            dy[redo], ds[redo], dx[redo] = dy2[keep], ds2[keep], dx2[keep]
+        redo = size > st["refine_tol"] * (1.0 + np.linalg.norm(st["v"], axis=1))
+        if redo.any():  # the whole stack is refined: no copy of the factors
+            dy2 = dy + _solve(low, miss)
+            ds2 = rd - _apply_at(dy2, d)
+            dx2 = _sym(rc - w @ ds2 @ w) * live
+            keep = redo & (np.linalg.norm(rp - _apply_a(dx2, d), axis=1) < size)
+            dy[keep], ds[keep], dx[keep] = dy2[keep], ds2[keep], dx2[keep]
         return dx, dy, ds, gi @ dx @ _dag(gi), _dag(g) @ ds @ g
 
     dx, _, ds, dx_scaled, ds_scaled = newton(-x)  # predictor

@@ -440,6 +440,15 @@ def test_random_model_rejects_non_integer_parameters(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("gamma", ["nan", "inf"])
+def test_non_finite_rate_is_bad_input_that_names_the_term(gamma, tmp_path, capsys):
+    path = tmp_path / "rate.ini"
+    path.write_text(CONFIG.replace("gamma=1.0", f"gamma={gamma}").format(out=tmp_path / "out"))
+    assert main(["sweep", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: jump operator 0 has non-finite or negative rate {gamma}\n"
+    assert not (tmp_path / "out").exists()
+
+
 SAMPLED_CONFIG = """
 [experiment]
 model = random d=2 m=3 seed=7

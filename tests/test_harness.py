@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from lindsim import lindblad
 from lindsim.formulas import Method
 from lindsim.harness import (
     ConfigError,
@@ -103,6 +104,18 @@ def test_model_from_generator_file(tmp_path):
                           t=1.0, n_grid=(4,), seed=0)
     gen = resolve_model(spec)
     assert gen.terms[0][1] == 0.5
+
+
+def test_sweep_builds_each_term_superoperator_once(tmp_path, monkeypatch):
+    # the generator builds its terms at construction: two kron products for
+    # -i[H, .] and three per dissipator; no step of the sweep builds one again
+    calls = []
+    kron = lindblad.kron
+    monkeypatch.setattr(lindblad, "kron", lambda a, b: calls.append(1) or kron(a, b))
+    spec = ExperimentSpec(model="random d=3 m=4 seed=11", methods=tuple(Method), t=1.0,
+                          n_grid=(4, 8, 16, 32, 64), seed=42, outputs=str(tmp_path))
+    assert all(r.status == "ok" for r in run_sweep(spec))
+    assert len(calls) == 2 + 3 * (4 - 1)
 
 
 def test_run_sweep_records_and_bounds(spec):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,43 @@ def test_generator_validation():
     gen = GkslGenerator(dim=2, hamiltonian=SZ, terms=((SM, 2.0),))
     assert gen.m_total == 2
     assert gen.rate(1) == 1.0 and gen.rate(2) == 2.0
+
+
+@pytest.mark.parametrize("bad, named", [
+    (dict(hamiltonian=np.diag([np.inf, 0.0])), "Hamiltonian has non-finite entries"),
+    (dict(terms=((SM, 1.0), (np.diag([np.nan, 0.0]), 1.0))), "jump operator 1 has non-finite entries"),
+    (dict(terms=((SM, np.nan),)), "jump operator 0 has non-finite or negative rate nan"),
+    (dict(terms=((SM, np.inf),)), "jump operator 0 has non-finite or negative rate inf"),
+])
+def test_generator_refuses_non_finite_data_and_names_it(bad, named):
+    data = dict(dim=2, hamiltonian=np.zeros((2, 2)), terms=((SM, 1.0),)) | bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an infinite Hamiltonian never reaches the Hermitian check
+        with pytest.raises(ValueError, match=named):
+            GkslGenerator(**data)
+
+
+def test_term_superops_equal_the_kron_formulas_to_the_bit():
+    gen = builtin_model("random", dict(d=3, m=4, seed=11))
+    eye, h = np.eye(3), gen.hamiltonian
+    bare = [-1j * (kron(eye, h) - kron(h.T, eye))]
+    for op, _ in gen.terms:
+        ldl = dagger(op) @ op
+        bare.append(kron(op.conj(), op) - 0.5 * kron(eye, ldl) - 0.5 * kron(ldl.T, eye))
+    total = np.zeros((9, 9), dtype=complex)
+    for k, s in enumerate(bare, start=1):
+        scaled = s if k == 1 else gen.terms[k - 2][1] * s
+        assert np.array_equal(term_superop(gen, k, with_rate=False), s)
+        assert np.array_equal(term_superop(gen, k, with_rate=True), scaled)
+        total += scaled
+    assert np.array_equal(full_liouvillian(gen), total)
+
+
+def test_generator_term_stack_and_rates_are_read_only():
+    gen = builtin_model("random", dict(d=3, m=4, seed=11))
+    assert gen.superops.shape == (4, 9, 9) and list(gen.rates) == [1.0] + [r for _, r in gen.terms]
+    assert not gen.superops.flags.writeable and not gen.rates.flags.writeable
+    assert not term_superop(gen, 2, with_rate=False).flags.writeable
 
 
 def test_term_superop_zero_hamiltonian(amp_damp):
@@ -236,6 +275,13 @@ def test_parse_generator_round_trip():
     [
         ("dim 2\nhamiltonian 1,0 0,0\n", "line 2: expected 4 entries"),
         ("dim 2\nhamiltonian 0,0 1,0 0,0 0,0\n", "line 2: hamiltonian is not Hermitian"),
+        ("dim 2\nhamiltonian inf,0 0,0 0,0 0,0\n", "line 2: entry 'inf,0' is not finite"),
+        ("dim 2\nhamiltonian 0,0 0,0 0,0 0,0\njump\nmatrix 0,0 nan,0 0,0 0,0\nrate 1\nend\n",
+         "line 4: entry 'nan,0' is not finite"),
+        ("dim 2\nhamiltonian 0,0 0,0 0,0 0,0\njump\nmatrix 0,0 1,0 0,0 0,0\nrate nan\nend\n",
+         "line 5: rate 'nan' is not finite"),
+        ("dim 2\nhamiltonian 0,0 0,0 0,0 0,0\njump\nmatrix 0,0 1,0 0,0 0,0\nrate inf\nend\n",
+         "line 5: rate 'inf' is not finite"),
         ("dim 2\nhamiltonian 0,0 0,0 0,0 0,0\njump\nmatrix 0,0 1,0 0,0 0,0\nrate -1\nend\n",
          "line 5: negative rate"),
         ("dim 2\nhamiltonian 0,0 0,0 0,0 0,0\njump\nmatrix 0,0 1,0 0,0 0,0\nend\n",

@@ -66,7 +66,7 @@ def test_qdrift_single_term_always_first():
     single = GkslGenerator(dim=2, hamiltonian=SZ, terms=())
     for seed in (0, 1, 99):
         _, steps = schedule(Method.QDRIFT, single, 1.0, 10, seed)
-        assert all(step == TermExp(k=1, with_rate=False) for step in steps)
+        assert all(step == TermExp(k=1) for step in steps)
 
 
 def test_coin_frequency_concentration(gen):
@@ -297,7 +297,7 @@ def loop_product(dt, steps, gen):
         elif isinstance(step, S2Block):
             chan = s2_sigma(gen, dt, step.perm)
         else:
-            chan = constituent_channel(gen, step.k, dt, with_rate=step.with_rate)
+            chan = constituent_channel(gen, step.k, dt, with_rate=False)
         total = chan @ total
     return total
 
