@@ -22,7 +22,7 @@ import numpy as np
 from .formulas import Implementation, Method, gate_count
 from .sdp import SdpConvergenceError
 
-_SOLVER_ERRORS = (SdpConvergenceError, np.linalg.LinAlgError)
+_SOLVER_ERRORS = (SdpConvergenceError,)
 
 
 def _build_parser() -> argparse.ArgumentParser:

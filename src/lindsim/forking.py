@@ -37,20 +37,24 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ForkLayout:
-    """Register layout of a fork circuit."""
+    """Register layout of a fork circuit: one work slot per control value."""
 
     control_dim: int
     system_dim: int
-    n_ancillas: int
 
     def __post_init__(self):
-        if self.control_dim < 1 or self.system_dim < 1 or self.n_ancillas < 0:
+        if self.control_dim < 1 or self.system_dim < 1:
             raise ValueError("register dimensions must be positive")
         if self.total_dim > TOL.fork_dim_cap:
             raise ValueError(
                 f"composite dimension {self.total_dim} exceeds the cap "
                 f"{TOL.fork_dim_cap}; use the classical-sampling route instead"
             )
+
+    @property
+    def n_ancillas(self) -> int:
+        """Work registers beside the system's slot."""
+        return self.control_dim - 1
 
     @property
     def dims(self) -> tuple:
@@ -73,8 +77,6 @@ def _cswap_perm(layout: ForkLayout, control_value: int, target_a: int, target_b:
         raise ValueError(f"control value {control_value} outside 0..{layout.control_dim - 1}")
     if min(target_a, target_b) < 1 or max(target_a, target_b) >= len(dims):
         raise ValueError("swap targets must index non-control registers")
-    if dims[target_a] != dims[target_b]:
-        raise ValueError(f"swap targets have unequal dimensions {dims[target_a]} != {dims[target_b]}")
     grid = np.arange(layout.total_dim).reshape(dims)
     perm = grid.copy()
     # grid[control_value] has lost the control axis, so register r is axis r - 1
@@ -110,7 +112,7 @@ def _fork(method: Method, gen: GkslGenerator, dt: float, n: int, rho0, rho_phi,
     if dt <= 0:
         raise ValueError("step length must be positive")
     weights, steps = METHODS[method].support(gen)
-    layout = ForkLayout(control_dim=len(steps), system_dim=gen.dim, n_ancillas=len(steps) - 1)
+    layout = ForkLayout(control_dim=len(steps), system_dim=gen.dim)
     route = [_cswap_perm(layout, k - 1, 1, k) for k in range(2, len(steps) + 1)]
     prep = np.diag(np.divide(weights, np.sum(weights))).astype(complex)
     channels = [step.channel(gen, dt) for step in steps]

@@ -224,9 +224,9 @@ def trajectory_batches(count: int) -> list:
 
 
 def batch_standard_error(eps_batches) -> float:
-    """A sampled point's stat_err: the standard error of its batch means' errors."""
+    """A sampled point's stat_err: the standard error of its batch means' errors; NaN for one batch."""
     if len(eps_batches) < 2:
-        return 0.0
+        return float("nan")
     return float(np.std(eps_batches, ddof=1) / math.sqrt(len(eps_batches)))
 
 

@@ -44,9 +44,9 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return np.asarray(a).conj().T
 
 
-def is_hermitian(a: np.ndarray, tol: float = TOL.herm_tol) -> bool:
+def is_hermitian(a: np.ndarray) -> bool:
     a = np.asarray(a)
-    return a.shape[0] == a.shape[1] and np.max(np.abs(a - dagger(a))) <= tol
+    return a.shape[0] == a.shape[1] and np.max(np.abs(a - dagger(a))) <= TOL.herm_tol
 
 
 def kron(a, b) -> np.ndarray:
@@ -198,7 +198,7 @@ class DensityMatrix:
         m = _as_matrix(self.matrix)
         if m.shape[0] != m.shape[1]:
             raise ValueError(f"density matrix must be square, got {m.shape}")
-        if np.max(np.abs(m - dagger(m))) > TOL.herm_tol:
+        if not is_hermitian(m):
             raise ValueError("density matrix is not Hermitian within tolerance")
         if abs(np.trace(m).real - 1.0) > TOL.trace_tol or abs(np.trace(m).imag) > TOL.trace_tol:
             raise ValueError(f"density matrix trace {np.trace(m)} is not 1")

@@ -138,12 +138,12 @@ def constituent_channel(gen: GkslGenerator, k: int, dt: float, with_rate: bool =
     return channel
 
 
-def choi(superop: np.ndarray, dim: int | None = None) -> np.ndarray:
+def choi(superop: np.ndarray) -> np.ndarray:
     """Choi matrix J = sum_ij |i><j| (x) Phi(|i><j|), input factor first."""
     s = np.asarray(superop, dtype=complex)
-    d = int(round(np.sqrt(s.shape[0]))) if dim is None else int(dim)
+    d = int(round(np.sqrt(s.shape[0])))
     if s.shape != (d * d, d * d):
-        raise ValueError(f"superoperator shape {s.shape} inconsistent with dim {d}")
+        raise ValueError(f"superoperator shape {s.shape} is not a square of squares")
     # s[b*d + a, k*d + i] = <a|Phi(|i><k|)|b> under column stacking
     return s.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
 
@@ -155,30 +155,26 @@ class CptpCheck:
     ok: bool
     min_choi_eig: float
     tp_deviation: float
-    tol: float
 
     def __bool__(self) -> bool:
         return self.ok
 
 
-def is_cptp(superop: np.ndarray, tol: float = TOL.cptp_tol) -> CptpCheck:
-    """Check complete positivity (Choi PSD) and trace preservation.
+def is_cptp(superop: np.ndarray) -> CptpCheck:
+    """Check complete positivity (Choi PSD) and trace preservation within ``TOL.cptp_tol``.
 
     Trace preservation reads off the Choi matrix: the partial trace over the
     output factor must be the identity on the input factor.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    s = np.asarray(superop, dtype=complex)
-    d = int(round(np.sqrt(s.shape[0])))
-    j = choi(s, d)
+    j = choi(superop)
+    d = int(round(np.sqrt(len(j))))
     jh = (j + dagger(j)) / 2
     min_eig = float(np.min(np.linalg.eigvalsh(jh)))
     herm_dev = float(np.max(np.abs(j - jh)))
     tp = partial_trace(j, [d, d], keep=[0])
     tp_dev = float(np.max(np.abs(tp - np.eye(d))))
-    ok = min_eig >= -tol and tp_dev <= tol and herm_dev <= tol
-    return CptpCheck(ok=ok, min_choi_eig=min_eig, tp_deviation=tp_dev, tol=tol)
+    ok = min_eig >= -TOL.cptp_tol and tp_dev <= TOL.cptp_tol and herm_dev <= TOL.cptp_tol
+    return CptpCheck(ok=ok, min_choi_eig=min_eig, tp_deviation=tp_dev)
 
 
 # ---------------------------------------------------------------------------

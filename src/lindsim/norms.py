@@ -48,11 +48,7 @@ __all__ = [
 
 def _hermitian_choi(superop) -> np.ndarray:
     """J of a d^2 x d^2 Hermiticity-preserving superoperator; else ``ValueError``."""
-    s = np.asarray(superop, dtype=complex)
-    d = int(round(np.sqrt(s.shape[0])))
-    if s.shape != (d * d, d * d):
-        raise ValueError(f"superoperator shape {s.shape} is not a square of squares")
-    j = choi(s, d)
+    j = choi(superop)
     herm_dev = float(np.max(np.abs(j - dagger(j))))
     if not herm_dev <= TOL.herm_preserving_tol:
         raise ValueError("superoperator is not Hermiticity-preserving "
@@ -98,7 +94,7 @@ def diamond_norm_solution(superop: np.ndarray) -> SdpSolution:
 
 
 def diamond_norm(superop: np.ndarray) -> float:
-    """||.||_diamond of a Hermiticity-preserving superoperator (abs err <= 1e-6)."""
+    """||.||_diamond of a Hermiticity-preserving superoperator (abs err <= ``TOL.diamond_abs_tol``)."""
     return float(diamond_norm_solution(superop).value)
 
 
@@ -198,15 +194,16 @@ def power_contraction_maps(t_chan: np.ndarray, v_chan: np.ndarray, ns) -> list:
                                 for k in ns]
 
 
-def power_contraction_check(t_chan: np.ndarray, v_chan: np.ndarray, n, slack: float = 1e-6):
+def power_contraction_check(t_chan: np.ndarray, v_chan: np.ndarray, n):
     """Check ||T^N - V^N|| <= N ||T - V|| in diamond norm for two channels.
 
     ``n`` is one step count or several.  ||T - V|| and every ||T^N - V^N||
     are certified in one batch; the result is one verdict for one N and a
-    list of verdicts, in order, for several.
+    list of verdicts, in order, for several.  Each allows the solver's
+    accuracy, ``TOL.diamond_abs_tol``.
     """
     ns = [n] if isinstance(n, Integral) else [int(k) for k in n]
     maps = power_contraction_maps(t_chan, v_chan, ns)
     rhs, *lhs = [sol.value for sol in certified(diamond_norm_solutions(maps))]
-    holds = [bool(value <= k * rhs + slack) for value, k in zip(lhs, ns)]
+    holds = [bool(value <= k * rhs + TOL.diamond_abs_tol) for value, k in zip(lhs, ns)]
     return holds[0] if isinstance(n, Integral) else holds

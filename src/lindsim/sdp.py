@@ -496,7 +496,7 @@ def _lockstep(chois: np.ndarray, scales: np.ndarray, feas_tol: float, max_iters:
     return results
 
 
-def solve_diamond(chois, *, feas_tol: float = 1e-9, max_iters: int = TOL.sdp_max_iters) -> list:
+def solve_diamond(chois) -> list:
     """Solve the diamond-norm program for a stack of Hermitian Choi matrices of one d.
 
     ``chois`` has shape (B, d^2, d^2).  The program is homogeneous in J, so
@@ -524,7 +524,7 @@ def solve_diamond(chois, *, feas_tol: float = 1e-9, max_iters: int = TOL.sdp_max
             count = -(-(hi - lo) // size)
             ends = [lo + (hi - lo) * k // count for k in range(1, count + 1)]
             return [sol for a, b in zip([lo] + ends, ends)
-                    for sol in _lockstep(chois[a:b], scales[a:b], feas_tol, max_iters)]
+                    for sol in _lockstep(chois[a:b], scales[a:b], TOL.sdp_feas_tol, TOL.sdp_max_iters)]
 
         if len(chois) <= size:  # one batch: nothing to share out
             return solve(0, len(chois))

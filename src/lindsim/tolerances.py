@@ -25,6 +25,7 @@ class Tolerances:
     # diamond-norm SDP
     diamond_abs_tol: float = 1e-6    # absolute accuracy of returned value
     sdp_gap_tol: float = 1e-7        # max duality gap of an accepted solve
+    sdp_feas_tol: float = 1e-9       # max scaled residual of an accepted solve
     sdp_max_iters: int = 500
     # forking register cap (side of the composite density matrix)
     fork_dim_cap: int = 64

@@ -73,8 +73,8 @@ def _model_library():
     ]
 
 
-def _random_channel(rng, d=2) -> np.ndarray:
-    gen = builtin_model("random", dict(d=d, m=3, seed=int(rng.integers(0, 2**31))))
+def _random_channel(rng) -> np.ndarray:
+    gen = builtin_model("random", dict(d=2, m=3, seed=int(rng.integers(0, 2**31))))
     return exact_channel(gen, float(rng.uniform(0.2, 0.8)))
 
 
@@ -100,8 +100,8 @@ def _checks_norms(seed: int):
     def judge(solved):
         sol, *rest = certified(solved[:len(maps)])
         zero, pair, base, double, other_norm, both, val, *lnorms = [s.value for s in rest]
-        homog = abs(double - 2.0 * base) <= 1e-6
-        subadd = both <= base + other_norm + 1e-6
+        homog = abs(double - 2.0 * base) <= TOL.diamond_abs_tol
+        subadd = both <= base + other_norm + TOL.diamond_abs_tol
         terms = iter(solved[len(maps):])
         bounds = [(name, lnorm, term_stats(gen, terms)) for (name, gen), lnorm in zip(library, lnorms)]
         return [
@@ -116,7 +116,8 @@ def _checks_norms(seed: int):
                         lower - TOL.diamond_abs_tol <= val <= upper + TOL.diamond_abs_tol,
                         f"lower={lower:.6f} sdp={val:.6f} upper={upper:.6f}"),
             CheckResult("norms", "generator_norm_bound",
-                        all(lnorm <= st.term_count * st.max_scaled_norm + 1e-6 for _, lnorm, st in bounds),
+                        all(lnorm <= st.term_count * st.max_scaled_norm + TOL.diamond_abs_tol
+                            for _, lnorm, st in bounds),
                         " ".join(f"{name}:{lnorm:.3f}<={st.term_count * st.max_scaled_norm:.3f}"
                                  for name, lnorm, st in bounds)),
         ]
@@ -193,7 +194,7 @@ def _checks_identities(seed: int):
     def judge(solved):
         # one row per channel pair: ||T - V||, then ||T^N - V^N|| for each N
         values = np.reshape([sol.value for sol in certified(solved)], (len(pairs), 1 + len(ns)))
-        holds = bool(np.all(values[:, 1:] <= np.array(ns) * values[:, :1] + 1e-6))
+        holds = bool(np.all(values[:, 1:] <= np.array(ns) * values[:, :1] + TOL.diamond_abs_tol))
         return [CheckResult("identities", "power_difference_contraction", holds,
                             "20 channel pairs, N in {2,4,8}"), restricted_sum]
 

@@ -315,7 +315,7 @@ def reference_diamond_norm(superop: np.ndarray) -> SdpSolution:
     objectives and gap are rescaled to the map's scale and the gap is checked."""
     s = np.asarray(superop, dtype=complex)
     d = int(round(np.sqrt(s.shape[0])))
-    j = choi(s, d)
+    j = choi(s)
     scale = max(1.0, float(np.linalg.norm(j)))
     gap_tol = min(1e-9, TOL.sdp_gap_tol / (10.0 * scale))
     sol = solve_sdp(diamond_hp_problem(j / scale, d), gap_tol=gap_tol, feas_tol=1e-9,

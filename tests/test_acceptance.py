@@ -115,15 +115,15 @@ def test_criterion_3_cptp_physicality(sweep):
     failures = []
     for name, entry in sweep.items():
         for (method, n), point in entry["points"].items():
-            if not is_cptp(point["step"], tol=1e-9):
+            if not is_cptp(point["step"]):
                 failures.append(f"{name}/{method.value}/step/N={n}")
-            if not is_cptp(point["total"], tol=1e-9):
+            if not is_cptp(point["total"]):
                 failures.append(f"{name}/{method.value}/power/N={n}")
         gen = entry["gen"]
         for method in (Method.S1_RAN, Method.S2_RAN, Method.QDRIFT):
             for seed in (0, 42):
                 channel = trajectory_channels(method, gen, T, 16, seed, range(1))[0]
-                if not is_cptp(channel, tol=1e-9):
+                if not is_cptp(channel):
                     failures.append(f"{name}/{method.value}/schedule/seed={seed}")
     ok = _report(3, not failures,
                  "all approximation channels and sampled schedules CPTP at 1e-9"

@@ -358,6 +358,20 @@ def test_solver_failure_exits_1(config_path, monkeypatch, capsys):
     assert "step collapsed" in err and "3.000e-04" in err
 
 
+def test_linalg_error_outside_the_solver_is_bad_input(config_path, monkeypatch, capsys):
+    # the solver turns its own LinAlgErrors into SdpConvergenceErrors, so one
+    # that reaches the CLI came from elsewhere: a ValueError, exit 2
+    from lindsim import harness
+
+    def failing(*args):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(harness, "trace_distance", failing)
+    assert main(["sweep", config_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: s1_det N=4: SVD did not converge") and "solver failed" not in err
+
+
 def test_sweep_with_an_unsolved_point_exits_1(config_path, monkeypatch, capsys):
     # the sweep's one call: amp_damp's two term maps certify, every point fails
     real = norms.solve_diamond
@@ -513,6 +527,24 @@ def test_simulate_certifies_every_batch_mean_in_one_batch(tmp_path, capsys, monk
     lines = [l for l in capsys.readouterr().out.splitlines() if "sampled R=40 stat_err=" in l]
     assert [l.split()[0] for l in lines] == ["s1_ran", "s2_ran", "qdrift"]
     assert all(float(l.split("stat_err=")[1].split()[0]) > 0 for l in lines)
+
+
+@pytest.mark.parametrize("command", ["sweep", "simulate"])
+def test_one_trajectory_has_no_stat_err(command, tmp_path, capsys):
+    # one trajectory is one batch: its standard error is undefined, not 0
+    from lindsim.harness import load_experiment, run_sweep
+
+    path = tmp_path / "sampled.ini"
+    path.write_text(SAMPLED_CONFIG.replace("trajectories = 40", "trajectories = 1")
+                    .format(seed=5, out=tmp_path / "out"))
+    (record,) = run_sweep(load_experiment(path))
+    assert np.isnan(record.stat_err)
+    assert main([command, str(path)]) == 0
+    line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("qdrift"))
+    assert "stat_err=nan " in line
+    if command == "sweep":
+        header, row = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
+        assert header.endswith(",stat_err") and row.endswith(",nan")
 
 
 def test_cli_imports_no_scipy():

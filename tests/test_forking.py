@@ -88,7 +88,7 @@ def dense_block_output(dense_block, rho_sys, rho_phi):
 
 
 def dense_s1_block(gen, dt):
-    layout = ForkLayout(control_dim=2, system_dim=gen.dim, n_ancillas=1)
+    layout = ForkLayout(control_dim=2, system_dim=gen.dim)
     swap = loop_cswap_channel(layout, 1, 1, 2)
     forward = s1_dir(embed_generator(gen, layout, 1), dt, Direction.FORWARD)
     backward = s1_dir(embed_generator(gen, layout, 2), dt, Direction.REVERSED)
@@ -97,7 +97,7 @@ def dense_s1_block(gen, dt):
 
 def dense_qdrift_block(gen, omega):
     m = gen.m_total
-    layout = ForkLayout(control_dim=m, system_dim=gen.dim, n_ancillas=m - 1)
+    layout = ForkLayout(control_dim=m, system_dim=gen.dim)
     d2 = layout.total_dim**2
     route = np.eye(d2, dtype=complex)
     for k in range(2, m + 1):
@@ -110,19 +110,19 @@ def dense_qdrift_block(gen, omega):
 
 
 def test_layout_arithmetic():
-    layout = ForkLayout(control_dim=3, system_dim=2, n_ancillas=2)
+    layout = ForkLayout(control_dim=3, system_dim=2)
     assert layout.total_dim == 3 * 2**3
     assert layout.dims == (3, 2, 2, 2)
 
 
 def test_layout_cap():
     with pytest.raises(ValueError, match="cap"):
-        ForkLayout(control_dim=4, system_dim=3, n_ancillas=3)
+        ForkLayout(control_dim=4, system_dim=3)
 
 
 def test_layout_rejects_an_empty_register():
     with pytest.raises(ValueError, match="register dimensions must be positive"):
-        ForkLayout(control_dim=0, system_dim=2, n_ancillas=1)
+        ForkLayout(control_dim=0, system_dim=2)
 
 
 def test_forks_reject_a_state_of_the_wrong_shape():
@@ -140,7 +140,7 @@ def test_fork_runs_reject_zero_steps(fork_run):
 
 
 def test_cswap_control_off_does_nothing():
-    layout = ForkLayout(control_dim=2, system_dim=2, n_ancillas=1)
+    layout = ForkLayout(control_dim=2, system_dim=2)
     chan = cswap_channel(layout, control_value=1, target_a=1, target_b=2)
     rho = kron(np.diag([1.0, 0.0]), kron(RHO0.matrix, PHIS[1].matrix))
     out = devectorize(chan @ vectorize(rho))
@@ -148,7 +148,7 @@ def test_cswap_control_off_does_nothing():
 
 
 def test_cswap_control_on_swaps_targets():
-    layout = ForkLayout(control_dim=2, system_dim=2, n_ancillas=1)
+    layout = ForkLayout(control_dim=2, system_dim=2)
     chan = cswap_channel(layout, control_value=1, target_a=1, target_b=2)
     a, b = RHO0.matrix, PHIS[1].matrix
     rho = kron(np.diag([0.0, 1.0]), kron(a, b))
@@ -157,12 +157,12 @@ def test_cswap_control_on_swaps_targets():
 
 
 def test_cswap_is_involution():
-    layout = ForkLayout(control_dim=2, system_dim=2, n_ancillas=1)
+    layout = ForkLayout(control_dim=2, system_dim=2)
     chan = cswap_channel(layout, control_value=1, target_a=1, target_b=2)
     assert np.max(np.abs(chan @ chan - np.eye(64))) < 1e-13
 
 
-@pytest.mark.parametrize("layout", [ForkLayout(2, 2, 1), ForkLayout(3, 2, 2), ForkLayout(2, 3, 1)])
+@pytest.mark.parametrize("layout", [ForkLayout(2, 2), ForkLayout(3, 2), ForkLayout(2, 3)])
 def test_cswap_matches_basis_loop(layout):
     n_regs = len(layout.dims)
     for c in range(layout.control_dim):
@@ -172,7 +172,7 @@ def test_cswap_matches_basis_loop(layout):
 
 
 def test_cswap_rejects_control_register_as_target():
-    layout = ForkLayout(control_dim=2, system_dim=2, n_ancillas=1)
+    layout = ForkLayout(control_dim=2, system_dim=2)
     with pytest.raises(ValueError, match="non-control"):
         cswap_channel(layout, control_value=1, target_a=0, target_b=1)
 
@@ -327,7 +327,7 @@ def test_fork_qdrift_qutrit():
 
 def test_fork_qdrift_at_dimension_cap():
     gen = builtin_model("random", dict(d=2, m=4, seed=1))  # 4 * 2^4 = 64, the cap
-    assert ForkLayout(4, 2, 3).total_dim == TOL.fork_dim_cap
+    assert ForkLayout(4, 2).total_dim == TOL.fork_dim_cap
     omega = 0.2
     outs = [fork_qdrift_step(gen, omega, RHO0, phi) for phi in PHIS]
     assert trace_distance(outs[0].matrix, mixture_state(qdrift_exact(gen, omega), RHO0)) <= 1e-10
@@ -349,3 +349,9 @@ def test_forks_reject_nonpositive_step_lengths(fork, args, length):
     gen = builtin_model("amp_damp")
     with pytest.raises(ValueError, match="^step length must be positive$"):
         fork(gen, length, *args, RHO0, PHIS[0])
+
+
+@pytest.mark.parametrize("control_value", [-1, 2])
+def test_input_refusals(control_value):
+    with pytest.raises(ValueError, match=rf"control value {control_value} outside 0..1"):
+        _cswap_perm(ForkLayout(2, 2), control_value, 1, 2)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from lindsim.formulas import (
     METHODS,
     Direction,
+    EveryOrder,
     Implementation,
     Method,
     GATE_COMPLEXITY,
@@ -22,6 +23,8 @@ from lindsim.formulas import (
     s2_ran_exact,
     s2_sigma,
     step_count,
+    Support,
+    TermExp,
 )
 from lindsim.lindblad import (GkslGenerator, constituent_channel, exact_channel, full_liouvillian, is_cptp,
                               term_superop)
@@ -392,3 +395,16 @@ def test_step_channel_is_the_methods_formula(model, params):
     for method, expected in formulas.items():
         assert np.array_equal(METHODS[method].step_channel(gen, t, n), expected), method
     assert np.array_equal(s2_det(gen, dt), formulas[Method.S2_DET])
+
+
+@pytest.mark.parametrize("call, fragment", [
+    (lambda gen: s1_dir(gen, 0.0, Direction.FORWARD), "step length must be positive"),
+    (lambda gen: s2_sigma(gen, -0.1, (1, 2)), "step length must be positive"),
+    (lambda gen: Support((1.0,), [TermExp(1)]).mixture(gen, 0.0), "step length must be positive"),
+    (lambda gen: EveryOrder(2).mixture(gen, -1.0), "step length must be positive"),
+    (lambda gen: error_bound(Method.S1_DET, GeneratorStats(1.0, 1.0, 2.0, 2), 1.0, 0),
+     "step count must be a positive integer"),
+], ids=["s1_dir", "s2_sigma", "Support.mixture", "EveryOrder.mixture", "error_bound"])
+def test_input_refusals(call, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        call(builtin_model("amp_damp"))

@@ -476,3 +476,15 @@ def test_validation_report_csv(tmp_path):
         lines = fh.read().strip().split("\n")
     assert lines[0] == "suite,check,passed,detail"
     assert len(lines) == len(report.results) + 1
+
+
+@pytest.mark.parametrize("call, fragment", [
+    (lambda: ExperimentSpec(model="amp_damp", methods=(), t=1.0, n_grid=(4,)),
+     "at least one method is required"),
+    (lambda: resolve_model(ExperimentSpec(model="amp_damp gamma=fast", methods=(Method.S1_DET,),
+                                          t=1.0, n_grid=(4,))),
+     "model parameter 'gamma=fast' is not numeric"),
+], ids=["no_methods", "non_numeric_parameter"])
+def test_input_refusals(call, fragment):
+    with pytest.raises(ConfigError, match=fragment):
+        call()

@@ -243,3 +243,17 @@ def test_density_matrix_invariants_enforced():
         DensityMatrix(np.diag([1.5, -0.5]))
     with pytest.raises(ValueError, match="square"):
         DensityMatrix(np.ones((2, 3)) / 6)
+
+
+@pytest.mark.parametrize("call, fragment", [
+    (lambda: kron(np.ones(3), np.eye(2)), r"expected a matrix, got array of shape \(3,\)"),
+    (lambda: kron(np.array([[np.nan]]), np.eye(2)), "matrix contains NaN or Inf entries"),
+    (lambda: partial_trace(np.eye(4), [2, 2], keep=[2]), r"keep indices \[2\] out of range for 2 factors"),
+    (lambda: vectorize(np.ones((2, 3))), "vectorize expects a square matrix"),
+    (lambda: devectorize(np.ones(3)), "vector length 3 is not a perfect square"),
+    (lambda: trace_norm(np.ones((2, 3))), "trace norm defined here for square matrices only"),
+], ids=["not_a_matrix", "non_finite", "keep_out_of_range", "vectorize_shape", "devectorize_length",
+        "trace_norm_shape"])
+def test_input_refusals(call, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        call()

@@ -331,3 +331,24 @@ def test_generator_data_is_read_only_copy():
     assert h.flags.writeable and op.flags.writeable
     op[0, 1] = 2.0
     assert gen.terms[0][0][0, 1] == 1.0
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda: GkslGenerator(dim=2, hamiltonian=np.zeros((3, 3)), terms=()), ValueError,
+     r"Hamiltonian shape \(3, 3\) != \(2, 2\)"),
+    (lambda: GkslGenerator(dim=2, hamiltonian=np.zeros((2, 2)), terms=((np.zeros((2, 3)), 1.0),)),
+     ValueError, r"jump operator 0 has shape \(2, 3\)"),
+    (lambda: constituent_channel(builtin_model("amp_damp"), 2, -0.1), ValueError,
+     "step length must be nonnegative"),
+    (lambda: choi(np.eye(3)), ValueError, "is not a square of squares"),
+    (lambda: parse_generator("dim 1\nhamiltonian 1\n"), GeneratorFormatError,
+     "line 2: entry '1' is not a re,im pair"),
+    (lambda: parse_generator("dim 1\nhamiltonian a,0\n"), GeneratorFormatError,
+     "line 2: entry 'a,0' has non-numeric components"),
+    (lambda: parse_generator("jump\ndim 1\n"), GeneratorFormatError,
+     "line 1: dim must come before jump blocks"),
+], ids=["hamiltonian_shape", "jump_shape", "negative_step", "choi_shape", "not_a_pair",
+        "non_numeric", "jump_before_dim"])
+def test_input_refusals(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()

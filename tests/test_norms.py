@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 from pathlib import Path
 from types import SimpleNamespace
@@ -321,7 +322,7 @@ def _general_diamond_problem(j, d):
 
 def _general_diamond_norm(superop):
     d = int(round(np.sqrt(superop.shape[0])))
-    j = choi(superop, d)
+    j = choi(superop)
     scale = max(1.0, float(np.linalg.norm(j)))
     sol = solve_sdp(_general_diamond_problem(j / scale, d),
                     gap_tol=min(1e-9, TOL.sdp_gap_tol / (10.0 * scale)),
@@ -499,9 +500,10 @@ def test_power_contraction_several_n_match_single_calls(monkeypatch):
     monkeypatch.setattr("lindsim.norms.diamond_norm_solutions", counting)
     assert power_contraction_check(t_chan, v_chan, (2, 4, 8)) == singles == [True] * 3
     assert batches == [4]  # ||T - V|| once, with every ||T^N - V^N||
-    loose = power_contraction_check(t_chan, v_chan, [1, 3], slack=-1.0)
-    assert loose == [power_contraction_check(t_chan, v_chan, 1, slack=-1.0),
-                     power_contraction_check(t_chan, v_chan, 3, slack=-1.0)]
+    monkeypatch.setattr("lindsim.norms.TOL", dataclasses.replace(TOL, diamond_abs_tol=-1.0))
+    loose = power_contraction_check(t_chan, v_chan, [1, 3])
+    assert loose == [power_contraction_check(t_chan, v_chan, 1),
+                     power_contraction_check(t_chan, v_chan, 3)]
     with pytest.raises(ValueError, match="positive"):
         power_contraction_check(t_chan, v_chan, [2, 0])
 
@@ -558,8 +560,8 @@ def test_certificate_is_at_the_maps_scale(frobenius):
     # P - Q = J, the mu block is the primal objective, and the gap is |primal - dual|
     gen = builtin_model("random", dict(d=2, m=3, seed=7))
     step = exact_channel(gen, 1.0) - np.eye(4)
-    superop = frobenius / np.linalg.norm(choi(step, 2)) * step
-    j = choi(superop, 2)
+    superop = frobenius / np.linalg.norm(choi(step)) * step
+    j = choi(superop)
     sol = diamond_norm_solution(superop)
     p, q, h, mu = sol.primal_blocks
     assert np.max(np.abs(p - q - j)) <= 1e-6

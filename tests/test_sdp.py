@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import pickle
 
@@ -13,6 +14,11 @@ from lindsim.models import builtin_model
 from lindsim.sdp import SdpConvergenceError
 from lindsim.tolerances import TOL
 from sdp_reference import SdpProblem, identical, solve_sdp
+
+
+def _solver_tol(monkeypatch, **changes):
+    """Give the solver, which reads its tolerances from ``TOL`` alone, these ``changes``."""
+    monkeypatch.setattr(nt, "TOL", dataclasses.replace(TOL, **changes))
 
 
 def _min_eigenvalue_problem(c):
@@ -96,18 +102,19 @@ def test_convergence_error_survives_pickling():
         assert np.array_equal(back.gap, err.gap, equal_nan=True)
 
 
-def test_convergence_error_gap_is_at_the_maps_scale():
+def test_convergence_error_gap_is_at_the_maps_scale(monkeypatch):
     # the same unit-scale iterates, stopped by the cap, at two scales of one map
     gen = builtin_model("random", dict(d=2, m=3, seed=7))
-    j = choi(exact_channel(gen, 1.0) - np.eye(4), 2)
-    small, large = nt.solve_diamond(np.array([j, 1e5 * j]), max_iters=5)
+    j = choi(exact_channel(gen, 1.0) - np.eye(4))
+    _solver_tol(monkeypatch, sdp_max_iters=5)
+    small, large = nt.solve_diamond(np.array([j, 1e5 * j]))
     assert small.iterations == large.iterations == 5
     assert large.gap == pytest.approx(1e5 * small.gap, rel=1e-6) and large.gap > 1e-6
     assert f"duality gap {large.gap:.3e}" in str(large)
 
 
 def _diamond_problem(d, seed, k):
-    j = choi(term_superop(builtin_model("random", dict(d=d, m=3, seed=seed)), k), d)
+    j = choi(term_superop(builtin_model("random", dict(d=d, m=3, seed=seed)), k))
     return sdp.diamond_hp_problem(j / np.linalg.norm(j), d)
 
 
@@ -250,14 +257,15 @@ def _d2_unit_chois():
     return _unit_chois([term_superop(gen, k) for k in range(1, gen.m_total + 1)])
 
 
-def test_lockstep_stall_exit_ends_each_item():
+def test_lockstep_stall_exit_ends_each_item(monkeypatch):
     # a feasibility tolerance below the rounding level is never met: once an
     # item's gap has converged, its residual stops falling or its mu reaches
     # zero, and it ends there (item 0, the Hamiltonian term, reaches mu = 0;
     # stepped on from there, its iterates leave the cone and its gap grows)
     chois = _d2_unit_chois()
     assert all(sol.iterations <= 15 for sol in nt.solve_diamond(chois))
-    results = nt.solve_diamond(chois, feas_tol=1e-20)
+    _solver_tol(monkeypatch, sdp_feas_tol=1e-20)
+    results = nt.solve_diamond(chois)
     for err in results:
         assert isinstance(err, SdpConvergenceError) and "stalled" in err.reason
         assert err.iterations <= 40
@@ -279,15 +287,17 @@ def test_stall_counter_restarts_while_the_residual_halves(monkeypatch):
 
     monkeypatch.setattr(nt, "_residuals", scripted)
     monkeypatch.setattr(nt, "_iterate", lambda st: (st, np.ones(len(st["index"]))))
-    halving, flat = nt.solve_diamond(_d2_unit_chois()[:2], feas_tol=2.0**-30)
+    _solver_tol(monkeypatch, sdp_feas_tol=2.0**-30)
+    halving, flat = nt.solve_diamond(_d2_unit_chois()[:2])
     assert isinstance(halving, nt.SdpSolution) and halving.iterations == 30
     assert isinstance(flat, SdpConvergenceError) and "stalled" in flat.reason
     assert flat.iterations == nt._STALL_ITERS
 
 
-def test_lockstep_iteration_cap_reports_each_item():
+def test_lockstep_iteration_cap_reports_each_item(monkeypatch):
     chois = _d2_unit_chois()
-    results = nt.solve_diamond(chois, max_iters=2)
+    _solver_tol(monkeypatch, sdp_max_iters=2)
+    results = nt.solve_diamond(chois)
     assert len(results) == len(chois)
     for err in results:
         assert isinstance(err, SdpConvergenceError)
@@ -353,7 +363,7 @@ def _sweep_chois():
     full = exact_channel(gen, 1.0)
     maps = [term_superop(gen, k, with_rate=False) for k in range(1, gen.m_total + 1)]
     maps += [full - np.linalg.matrix_power(s2_det(gen, 1.0 / n), n) for n in range(4, 29)]
-    return np.array([choi(s, 3) for s in maps])
+    return np.array([choi(s) for s in maps])
 
 
 def test_each_workers_share_is_one_lockstep_batch(monkeypatch, tmp_path):
@@ -392,13 +402,13 @@ def _cpus(monkeypatch, count):
 
 def _d3_chois():
     """Nine d = 3 maps at scales from 1e-3 to 2.4: three lockstep batches of ``three_per_batch``."""
-    chois = [choi(s, 3) for s in _batch_maps()]
+    chois = [choi(s) for s in _batch_maps()]
     return np.array(chois + [0.01 * j for j in chois] + [1e-3 * chois[3]])
 
 
 def _d4_chois():
     gen = builtin_model("random", dict(d=4, m=3, seed=2))
-    return np.array([choi(term_superop(gen, k, with_rate=True), 4) for k in (1, 2, 3)])
+    return np.array([choi(term_superop(gen, k, with_rate=True)) for k in (1, 2, 3)])
 
 
 def _assert_no_child_left():
@@ -510,8 +520,8 @@ def test_small_map_is_solved_from_a_unit_scale_start():
 
     gen = builtin_model("random", dict(d=3, m=4, seed=11))
     superop = exact_channel(gen, 1.0) - np.linalg.matrix_power(s2_det(gen, 1.0 / 64), 64)
-    assert np.linalg.norm(choi(superop, 3)) < 1e-4
-    (sol,) = nt.solve_diamond(choi(superop, 3)[None])
+    assert np.linalg.norm(choi(superop)) < 1e-4
+    (sol,) = nt.solve_diamond(choi(superop)[None])
     assert sol.gap <= 1e-9 and sol.iterations == 8
     assert abs(sol.value - reference_diamond_norm(superop).value) <= 1e-9
 
